@@ -13,9 +13,9 @@ Three layers:
 
 __version__ = "0.1.0"
 
-from .admissibility import (GridSpec, Profile, TBox, Verdict, Witness,
+from .admissibility import (GridSpec, Profile, Verdict, Witness,
                             check_admissible, m_tail_ok, min_over_t,
-                            sample_t_box, scan_profile)
+                            scan_profile)
 from .boundary import (THETA_EPS, AdmissibleTriple, HalfPlane,
                        curvature_identity, make_triple, t_halfplane)
 from .catalog import (LEMMAS, ArityError, DerivOverP, FirstOrderPlus,
@@ -28,8 +28,7 @@ from .geometry import (DELTA, Disk, DomainError, HalfPlaneReLess,
                        LemniscateDelta, MoebiusDisk, PoleError, contains,
                        lemniscate_boundary, margin, principal_sqrt)
 from .series import (NonInvertibleSeriesError, NormalizationError,
-                     TruncatedSeries, evaluate_series, p_of_f,
-                     sqrt_one_plus_z_series)
+                     TruncatedSeries, p_of_f, sqrt_one_plus_z_series)
 from .thresholds import (BracketError, MonotonicityError, ThresholdResult,
                          certified_at, closed_form_beta, find_beta_threshold)
 from .verifier import (ImageProbe, ImplicationReport, ProbeSpec,

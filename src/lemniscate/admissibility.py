@@ -16,33 +16,17 @@ can only lower the minimum, never raise it.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
 
-from .boundary import THETA_EPS, jet_arrays, make_triple
-from .catalog import ArityError, ParameterError, PsiForm, second_order_min_distance
-from .geometry import QUARTER_PI, Disk, Region
+from .boundary import (THETA_EPS, ConfigurationError, check_theta_margin,
+                       jet_arrays, make_triple, theta_grid)
+from .catalog import ArityError, PsiForm, second_order_min_distance
+from .geometry import Disk, Region
 
 _GOLDEN = (np.sqrt(5.0) - 1.0) / 2.0
-
-
-class ConfigurationError(ValueError):
-    """Form and region cannot be checked together (e.g. second order vs non-disk)."""
-
-
-@dataclass(frozen=True)
-class TBox:
-    """Sampling box for the optional t cross-check (projection is the primary route)."""
-
-    tau_span: float = 10.0
-    sigma_span: float = 10.0
-    points: int = 16
-
-    def __post_init__(self):
-        if self.tau_span <= 0 or self.sigma_span <= 0 or self.points < 2:
-            raise ConfigurationError("t box spans must be positive with at least 2 points")
 
 
 @dataclass(frozen=True)
@@ -55,26 +39,23 @@ class GridSpec:
     m_max: float = 8.0
     m_points: int = 64
     eps_adm: float = 1e-9
-    t_box: TBox = field(default_factory=TBox)
 
     def __post_init__(self):
         if self.theta_points < 1000:
             raise ConfigurationError("theta_points must be at least 1000")
-        if not (0.0 < self.theta_margin < QUARTER_PI):
-            raise ConfigurationError("theta_margin out of range")
+        check_theta_margin(self.theta_margin)
         if self.m_min is not None and self.m_min < 1.0:
             raise ConfigurationError("m_min must be >= 1")
         if self.m_points < 2 or self.m_max <= (self.m_min or 1.0):
             raise ConfigurationError("need m_max > m_min and at least 2 m points")
 
     def theta_grid(self) -> np.ndarray:
-        n = self.theta_points if self.theta_points % 2 == 1 else self.theta_points + 1
-        th = np.linspace(-QUARTER_PI + self.theta_margin, QUARTER_PI - self.theta_margin, n)
-        th[n // 2] = 0.0  # keep the center line exactly on the grid
-        return th
+        return theta_grid(self.theta_points | 1, self.theta_margin)  # odd: theta = 0 on grid
 
     def m_grid(self, n_class: int = 1) -> np.ndarray:
         lo = self.m_min if self.m_min is not None else float(n_class)
+        if self.m_max <= lo:
+            raise ConfigurationError(f"m_max = {self.m_max:g} must exceed the lowest m = {lo:g}")
         return np.linspace(lo, self.m_max, self.m_points)
 
 
@@ -162,40 +143,18 @@ def min_over_t(form: PsiForm, triple, region: Region) -> TMinimum:
 
     psi is affine in t with a real positive coefficient, so the admissible
     image is a half-plane and the minimum is the projection of the disk
-    center onto it.
+    center onto it, as computed by :func:`second_order_min_distance`.
     """
     if form.order != 2:
         raise ArityError("t-minimization applies to second-order forms only")
     if not isinstance(region, Disk):
         raise ConfigurationError("t-minimization needs a disk target")
-    coef = float(form.t_coefficient)
-    if coef <= 0.0:
-        raise ParameterError("degenerate t coefficient")
-    base = complex(form.base(triple.r, triple.s))
-    e3 = np.exp(3j * triple.theta)
-    phi = ((region.center - base) * np.conj(e3)).real
-    kappa = coef * triple.tau_min - phi
-    if kappa <= 0.0:
-        t_star = (region.center - base) / coef
-        return TMinimum(t_star=complex(t_star), objective=0.0)
-    w = kappa * e3  # nearest image point, relative to the center
-    t_star = (region.center + w - base) / coef
-    return TMinimum(t_star=complex(t_star), objective=float(kappa))
-
-
-def sample_t_box(form: PsiForm, triple, region: Region, box: TBox) -> float:
-    """Smallest |psi - center| over a sampled t box inside the half-plane.
-
-    Cross-check only: must never undercut the exact projection objective.
-    """
-    if form.order != 2 or not isinstance(region, Disk):
-        raise ConfigurationError("t sampling needs a second-order form and a disk target")
-    e3 = np.exp(3j * triple.theta)
-    u = triple.tau_min + np.linspace(0.0, box.tau_span, box.points)
-    v = np.linspace(-box.sigma_span, box.sigma_span, box.points)
-    t = (u[:, None] + 1j * v[None, :]) * e3
-    psi = form.value(triple.r, triple.s, t)
-    return float(np.min(np.abs(psi - region.center)))
+    dist, base, _, e3 = second_order_min_distance(
+        form, region.center, np.array([triple.theta]), np.array([triple.m]))
+    kappa = float(dist[0, 0])
+    # the nearest image point is center + kappa e^{3i theta} (the center itself if kappa = 0)
+    t_star = (region.center + kappa * e3[0, 0] - base[0, 0]) / float(form.t_coefficient)
+    return TMinimum(t_star=complex(t_star), objective=kappa)
 
 
 def _polish(form, region, theta, m, i, j):
@@ -263,7 +222,3 @@ def m_tail_ok(form: PsiForm, region: Region, grid: GridSpec = GridSpec()) -> boo
     hi = _margin_grid(form, region, theta, np.array([grid.m_max]))[:, 0]
     half = _margin_grid(form, region, theta, np.array([grid.m_max / 2.0]))[:, 0]
     return bool(np.all(hi > half))
-
-
-def with_doubled_resolution(grid: GridSpec) -> GridSpec:
-    return replace(grid, theta_points=2 * grid.theta_points + 1, m_points=2 * grid.m_points)

@@ -15,9 +15,10 @@ together with a half-plane constraint on the second-order slot t:
 which is the same set as {t : Re(t/s + 1) >= 3m/4}.  The curvature quantity
 Re(zeta q''/q' + 1) is identically 3/4 on the whole arc.
 
-theta is clamped to [-pi/4 + THETA_EPS, pi/4 - THETA_EPS] by the callers that
-scan grids; sec(2*theta) diverges at the endpoints and drags every catalogued
-objective to +infinity with it, so the clamp discards no violations.
+theta grids come from :func:`theta_grid`, clamped to
+[-pi/4 + margin, pi/4 - margin] (default margin THETA_EPS); sec(2*theta)
+diverges at the endpoints and drags every catalogued objective to +infinity
+with it, so the clamp discards no violations.
 """
 
 from __future__ import annotations
@@ -30,6 +31,27 @@ from .geometry import QUARTER_PI, DomainError, lemniscate_boundary
 
 # default clamp for grid scans; see module docstring
 THETA_EPS = 1e-6
+
+
+class ConfigurationError(ValueError):
+    """Scan settings or a form/region pairing that cannot be checked."""
+
+
+def check_theta_margin(margin: float) -> None:
+    if not (0.0 < margin < QUARTER_PI):
+        raise ConfigurationError("theta_margin must lie in (0, pi/4)")
+
+
+def theta_grid(points: int, margin: float = THETA_EPS) -> np.ndarray:
+    """``points`` equispaced theta on [-pi/4 + margin, pi/4 - margin].
+
+    An odd count puts the center line theta = 0 exactly on the grid.
+    """
+    check_theta_margin(margin)
+    th = np.linspace(-QUARTER_PI + margin, QUARTER_PI - margin, points)
+    if points % 2 == 1:
+        th[points // 2] = 0.0
+    return th
 
 
 def _check_theta(theta) -> None:
@@ -55,9 +77,6 @@ class HalfPlane:
 
     direction: complex
     offset: float
-
-    def contains_t(self, t) -> bool:
-        return bool(np.real(t * np.conj(self.direction)) >= self.offset)
 
 
 def make_triple(theta: float, m: float) -> AdmissibleTriple:

@@ -15,7 +15,6 @@ import argparse
 import csv
 import io
 import json
-import os
 import sys
 import time
 from pathlib import Path
@@ -23,10 +22,10 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .admissibility import GridSpec, TBox, check_admissible
-from .boundary import THETA_EPS, jet_arrays
+from .admissibility import GridSpec, check_admissible
+from .boundary import THETA_EPS, jet_arrays, theta_grid
 from .catalog import LEMMAS, ParameterError, UnknownLemmaError, get_lemma
-from .geometry import QUARTER_PI
+from .geometry import lemniscate_boundary
 from .series import TruncatedSeries
 from .thresholds import (DEFAULT_SEARCH, DEFAULT_TOL, BracketError,
                          MonotonicityError, find_beta_threshold)
@@ -54,7 +53,6 @@ def _grid_from(ns) -> GridSpec:
         m_max=ns.m_max,
         m_points=ns.m_points,
         eps_adm=ns.eps_adm,
-        t_box=TBox(),
     )
 
 
@@ -262,10 +260,8 @@ def _cmd_table(ns) -> int:
 def _cmd_boundary(ns) -> int:
     if ns.points < 2:
         raise ParameterError("need at least 2 boundary points")
-    theta = np.linspace(-QUARTER_PI + ns.theta_margin, QUARTER_PI - ns.theta_margin, ns.points)
-    if ns.points % 2 == 1:
-        theta[ns.points // 2] = 0.0
-    w = np.sqrt(2.0 * np.cos(2.0 * theta)) * np.exp(1j * theta)
+    theta = theta_grid(ns.points, ns.theta_margin)
+    w = lemniscate_boundary(theta)
     columns = ["theta", "re_w", "im_w"]
     data = [theta, w.real, w.imag]
     if ns.psi:
@@ -383,11 +379,6 @@ _DISPATCH = {
 
 
 def main(argv=None) -> int:
-    threads = os.environ.get("LEMNISCATE_THREADS")
-    if threads:
-        # best-effort cap on BLAS pools; the scans themselves are elementwise
-        for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
-            os.environ.setdefault(var, threads)
     parser = _build_parser()
     try:
         ns = parser.parse_args(argv)

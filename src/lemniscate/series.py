@@ -111,6 +111,15 @@ class TruncatedSeries:
     def __rmul__(self, other):
         return self.scale(other)
 
+    def __pow__(self, n):
+        """Integer power n >= 0, by repeated multiplication."""
+        if not isinstance(n, (int, np.integer)) or n < 0:
+            raise TypeError("series powers take an integer exponent n >= 0")
+        out = self if n else TruncatedSeries.constant(1.0, self.order)
+        for _ in range(n - 1):
+            out = out * self
+        return out
+
     def __truediv__(self, other):
         if not isinstance(other, TruncatedSeries):
             return self.scale(1.0 / complex(other))
@@ -241,8 +250,3 @@ def p_of_f(f: TruncatedSeries) -> TruncatedSeries:
         raise NormalizationError("f must satisfy f(0) = 0 and f'(0) = 1")
     u = f.shift_down()
     return (u + u.derivative().shift_up()) / u
-
-
-def evaluate_series(s: TruncatedSeries, z):
-    """Module-level alias for Horner evaluation."""
-    return s.evaluate(z)

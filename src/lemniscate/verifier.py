@@ -17,14 +17,12 @@ randomized suite.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
 
-from .catalog import (DerivOverP, FirstOrderPlus, LemmaSpec, OnePlus,
-                      SecondOrderSum, SecondOrderSquareSum, SecondOrderWeighted,
-                      SquarePlus, SquareRational, get_lemma)
+from .catalog import LemmaSpec, get_lemma
 from .geometry import DELTA, Region
 from .series import NormalizationError, TruncatedSeries
 
@@ -101,48 +99,17 @@ def image_in_region(p, region: Region, spec: ProbeSpec = ProbeSpec()) -> ImagePr
     return ImageProbe(tuple(spec.radial_levels), k, worst_margin, worst)
 
 
-def _jet(p: TruncatedSeries):
-    a = p
-    b = p.derivative().shift_up()        # z p'
-    c = p.derivative().derivative().shift_up().shift_up()  # z^2 p''
-    return a, b, c
-
-
 def hypothesis_series(lemma: LemmaSpec | str, p: TruncatedSeries,
                       beta=None, gamma=None) -> TruncatedSeries:
     """The lemma's differential expression psi(p, zp', z^2 p'') as a series."""
     if isinstance(lemma, str):
         lemma = get_lemma(lemma)
     form = lemma.make_form(beta, gamma)
-    a, b, c = _jet(p)
-    if isinstance(form, FirstOrderPlus):
-        q = b
-        for _ in range(form.n):
-            q = q / a
-        return a + q.scale(form.beta)
-    if isinstance(form, SquarePlus):
-        if form.n == -1:
-            return a * a + (a * b).scale(form.beta)
-        q = b
-        for _ in range(form.n):
-            q = q / a
-        return a * a + q.scale(form.beta)
-    if isinstance(form, SquareRational):
-        return a * a + b / (a.scale(form.beta) + form.gamma)
-    if isinstance(form, OnePlus):
-        q = b
-        for _ in range(form.n):
-            q = q / a
-        return TruncatedSeries.constant(1.0, q.order) + q.scale(form.beta)
-    if isinstance(form, DerivOverP):
-        return b / a
-    if isinstance(form, SecondOrderSum):
-        return b + c
-    if isinstance(form, SecondOrderSquareSum):
-        return a * a + b + c
-    if isinstance(form, SecondOrderWeighted):
-        return b.scale(form.gamma) + c.scale(form.beta)
-    raise TypeError(f"unhandled form {form!r}")
+    b = p.derivative().shift_up()                           # z p'
+    if form.order == 1:
+        return form.value(p, b)
+    c = p.derivative().derivative().shift_up().shift_up()   # z^2 p''
+    return form.value(p, b, c)
 
 
 def verify_implication(lemma_id: str, p: TruncatedSeries, beta=None, gamma=None,

@@ -1,10 +1,11 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
-from lemniscate.admissibility import (ConfigurationError, GridSpec, TBox,
+from lemniscate.admissibility import (ConfigurationError, GridSpec,
                                       check_admissible, m_tail_ok, min_over_t,
-                                      sample_t_box, scan_profile,
-                                      with_doubled_resolution)
+                                      scan_profile)
 from lemniscate.boundary import make_triple
 from lemniscate.catalog import (LEMMAS, SecondOrderSum, SecondOrderWeighted,
                                 closed_form_g, evaluate, get_lemma)
@@ -18,6 +19,15 @@ def check_lemma(lemma_id, beta=None, gamma=None, grid=GridSpec()):
     lemma = get_lemma(lemma_id)
     form = lemma.make_form(beta, gamma)
     return check_admissible(form, lemma.region, grid, n_class=lemma.n_class)
+
+
+def sample_t_box(form, triple, region, span=10.0, points=24):
+    """Smallest |psi - center| over a sampled t box inside the half-plane."""
+    e3 = np.exp(3j * triple.theta)
+    u = triple.tau_min + np.linspace(0.0, span, points)
+    v = np.linspace(-span, span, points)
+    t = (u[:, None] + 1j * v[None, :]) * e3
+    return float(np.min(np.abs(form.value(triple.r, triple.s, t) - region.center)))
 
 
 class TestCheckAdmissible:
@@ -116,14 +126,13 @@ class TestMinOverT:
 
     def test_box_sampling_never_undercuts_projection(self):
         rng = np.random.default_rng(43)
-        box = TBox(points=24)
         for lemma_id in ("second-sum", "second-sqsum", "second-weighted"):
             lemma = get_lemma(lemma_id)
             form = lemma.make_form(lemma.default_beta, lemma.default_gamma)
             for _ in range(25):
                 triple = make_triple(rng.uniform(-0.7, 0.7), rng.uniform(1.0, 6.0))
                 exact = min_over_t(form, triple, lemma.region).objective
-                sampled = sample_t_box(form, triple, lemma.region, box)
+                sampled = sample_t_box(form, triple, lemma.region)
                 assert sampled >= exact - 1e-12
 
     def test_errors(self):
@@ -174,8 +183,9 @@ class TestGridHygiene:
             verdict = check_lemma(lemma_id, beta, gamma, grid=FAST)
             assert verdict.admissible
             if verdict.min_objective_seen > 1e-4:
-                double = check_lemma(lemma_id, beta, gamma,
-                                     grid=with_doubled_resolution(FAST))
+                double = check_lemma(lemma_id, beta, gamma, grid=replace(
+                    FAST, theta_points=2 * FAST.theta_points + 1,
+                    m_points=2 * FAST.m_points))
                 assert double.admissible, lemma_id
 
     def test_clamp_hides_no_violations(self):
@@ -197,3 +207,15 @@ class TestGridHygiene:
             GridSpec(m_min=0.5)
         with pytest.raises(ConfigurationError):
             GridSpec(m_max=0.5)
+        for bad in (-0.1, 0.0, 1.0):
+            with pytest.raises(ConfigurationError):
+                GridSpec(theta_margin=bad)
+
+    def test_m_max_must_exceed_class_index(self):
+        # second-sqsum scans from m = 2: m_max = 1.5 would reverse the m grid
+        grid = GridSpec(m_max=1.5)
+        with pytest.raises(ConfigurationError):
+            grid.m_grid(n_class=2)
+        with pytest.raises(ConfigurationError):
+            check_lemma("second-sqsum", grid=grid)
+        assert grid.m_grid(n_class=1)[0] == 1.0

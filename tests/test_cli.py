@@ -46,6 +46,13 @@ class TestCheck:
         code, _, _ = run(capsys, "check", "--lemma", "bogus")
         assert code == 1
 
+    def test_m_max_below_class_index_is_usage_error(self, capsys):
+        # second-sqsum scans from m = 2; a reversed m grid must not yield a verdict
+        code, out, err = run(capsys, "check", "--lemma", "second-sqsum", "--m-max", "1.5")
+        assert code == 1
+        assert out == ""
+        assert "m_max" in err
+
     def test_default_json_is_byte_deterministic(self, capsys):
         _, first, _ = run(capsys, "check", "--lemma", "one0", "--beta", "1.3")
         _, second, _ = run(capsys, "check", "--lemma", "one0", "--beta", "1.3")
@@ -149,6 +156,13 @@ class TestBoundary:
         mid = rows[6]
         assert float(mid[3]) == pytest.approx(np.sqrt(2) + 0.25)
         assert float(mid[4]) == pytest.approx(0.0, abs=1e-15)
+
+    @pytest.mark.parametrize("margin", ["-0.1", "0", "1.0"])
+    def test_theta_margin_out_of_range_is_usage_error(self, capsys, margin):
+        code, out, err = run(capsys, "boundary", "--points", "5", "--theta-margin", margin)
+        assert code == 1
+        assert out == ""
+        assert "theta_margin" in err
 
     def test_json_format(self, capsys):
         _, out, _ = run(capsys, "boundary", "--points", "3", "--format", "json")

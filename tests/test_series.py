@@ -5,8 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from lemniscate.series import (NonInvertibleSeriesError, NormalizationError,
-                               TruncatedSeries, evaluate_series, p_of_f,
-                               sqrt_one_plus_z_series)
+                               TruncatedSeries, p_of_f, sqrt_one_plus_z_series)
 
 
 def series(*coeffs):
@@ -69,6 +68,20 @@ class TestArithmetic:
     def test_scalars_lift(self):
         out = 2.0 * series(1, 1) + 1.0
         np.testing.assert_allclose(out.coeffs, [3, 2])
+
+    def test_power_zero_is_one_at_same_order(self):
+        one = series(0.5, 2, -1, 3) ** 0
+        np.testing.assert_array_equal(one.coeffs, [1, 0, 0, 0])
+
+    def test_power_is_repeated_product(self):
+        rng = np.random.default_rng(4)
+        a = TruncatedSeries(rng.normal(size=10) + 1j * rng.normal(size=10))
+        np.testing.assert_array_equal((a**3).coeffs, (a * a * a).coeffs)
+
+    @pytest.mark.parametrize("n", [-1, 0.5, 2.0, 1j])
+    def test_power_needs_nonnegative_integer(self, n):
+        with pytest.raises(TypeError):
+            series(1, 1) ** n
 
     def test_shift_down_requires_zero_constant(self):
         with pytest.raises(NormalizationError):
@@ -133,7 +146,7 @@ class TestSqrtSeries:
 
 class TestEvaluation:
     def test_constant(self):
-        assert evaluate_series(TruncatedSeries.constant(1.0, 6), 0.3 + 0.4j) == 1.0
+        assert TruncatedSeries.constant(1.0, 6).evaluate(0.3 + 0.4j) == 1.0
 
     def test_geometric_at_half(self):
         val = TruncatedSeries.geometric(50).evaluate(0.5)

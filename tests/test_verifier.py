@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from lemniscate.catalog import LEMMAS
 from lemniscate.geometry import DELTA, Disk
 from lemniscate.series import (NormalizationError, TruncatedSeries, p_of_f,
                                sqrt_one_plus_z_series)
@@ -69,6 +70,19 @@ class TestHypothesisSeries:
         hyp = hypothesis_series("second-sqsum", p)
         # a^2 + z p' + z^2 p'': 1 + (0.5 + 0.5 + 0.5) z^2 + 0.0625 z^4
         np.testing.assert_allclose(hyp.coeffs[:5], [1, 0, 1.5, 0, 0.0625], atol=1e-14)
+
+    @pytest.mark.parametrize("lemma_id", sorted(LEMMAS))
+    def test_matches_pointwise_psi(self, lemma_id):
+        # series route vs psi applied to the Horner values (p, z p', z^2 p'')
+        lemma = LEMMAS[lemma_id]
+        beta, gamma = lemma.default_beta, lemma.default_gamma
+        p = random_normalized_p(16, seed=7, n_class=lemma.n_class)
+        hyp = hypothesis_series(lemma, p.pad_to(96), beta, gamma)
+        poly = np.polynomial.Polynomial(p.coeffs)
+        z = np.array([0.0, 0.5, -0.5, 0.3 + 0.4j, -0.1 - 0.45j])
+        jet = (poly(z), z * poly.deriv(1)(z), z**2 * poly.deriv(2)(z))
+        want = lemma.make_form(beta, gamma).value(*jet[: lemma.order + 1])
+        np.testing.assert_allclose(hyp.evaluate(z), want, rtol=1e-12, atol=1e-12)
 
 
 class TestVerifyImplication:
