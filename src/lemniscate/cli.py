@@ -140,7 +140,8 @@ def _cmd_check(ns) -> int:
 def _cmd_threshold(ns) -> int:
     lemma = get_lemma(ns.lemma)
     grid = _grid_from(ns)
-    search = (ns.lo, ns.hi) if ns.lo is not None and ns.hi is not None else DEFAULT_SEARCH
+    search = (DEFAULT_SEARCH[0] if ns.lo is None else ns.lo,
+              DEFAULT_SEARCH[1] if ns.hi is None else ns.hi)
     result = find_beta_threshold(ns.lemma, search=search, tol=ns.tol, grid=grid)
     payload = {
         "schema": SCHEMA_VERSION,

@@ -11,6 +11,15 @@ raw admissibility alone would bracket a smaller, uncatalogued constant.  For
 the remaining lemmas the two conditions coincide and the certificate bracket
 equals the plain admissibility transition.
 
+Both conditions compare the same global grid minimum, so the certificate holds
+exactly when every grid margin is at least ``max(-eps_adm, P(0) - tol)``, with
+P(0) the minimum of the center row.  A margin below that floor anywhere
+proves the certificate false.  Every uncertified step of the catalogued
+bisections has such a margin on the center line (the admissibility failures)
+or next to it (the off-center minima), so ``certified_at`` first evaluates
+the center row and its two neighbours and rejects from those three rows; only
+steps the band cannot reject pay for the full scan.
+
 The verdict is boolean and the objective is not smooth where the minimizing
 theta switches branches, so bisection is used rather than gradient steps.
 """
@@ -22,7 +31,7 @@ from typing import Optional
 
 import numpy as np
 
-from .admissibility import GridSpec, scan_profile
+from .admissibility import ConfigurationError, GridSpec, _margin_grid, scan_profile
 from .catalog import LemmaSpec, UnknownLemmaError, get_lemma
 
 DEFAULT_SEARCH = (0.05, 6.0)
@@ -51,9 +60,20 @@ class ThresholdResult:
 
 def certified_at(lemma_id: str, beta: float, gamma: Optional[float] = None,
                  grid: GridSpec = GridSpec()) -> bool:
-    """True iff the scan is admissible and the objective minimum sits at theta = 0."""
+    """True iff the scan is admissible and the objective minimum sits at theta = 0.
+
+    That is: every grid margin is at least ``max(-eps_adm, P(0) - tol)``, P(0)
+    being the center row's minimum.  The center row and its two neighbours are
+    rows of the full grid, so a margin below the floor there rejects exactly
+    as the full scan would; otherwise (or on NaN) the full scan decides.
+    """
     lemma = get_lemma(lemma_id)
     form = lemma.make_form(beta, gamma)
+    theta = grid.theta_grid()
+    c = len(theta) // 2
+    band = _margin_grid(form, lemma.region, theta[c - 1:c + 2], grid.m_grid(lemma.n_class))
+    if band.min() < max(-grid.eps_adm, band[1].min() - _CENTER_TOL):
+        return False
     prof = scan_profile(form, lemma.region, grid, n_class=lemma.n_class)
     admissible = float(prof.objective.min()) >= -grid.eps_adm
     return admissible and prof.min_is_centered(_CENTER_TOL)
@@ -67,7 +87,12 @@ def find_beta_threshold(lemma_id: str, search=None, tol: float = DEFAULT_TOL,
     Raises BracketError when the certificate does not change across the
     interval and MonotonicityError when an 8-point pre-scan sees it flip more
     than once (the bound is then not a single transition in the interval).
+    A ``tol`` that is not finite and positive is a ConfigurationError.  The
+    bisection also stops once the midpoint rounds onto an end of the bracket,
+    so a sub-ulp ``tol`` yields adjacent floats rather than a hang.
     """
+    if not (np.isfinite(tol) and tol > 0.0):
+        raise ConfigurationError(f"tol must be finite and positive, got {tol!r}")
     lemma = get_lemma(lemma_id)
     if lemma.unconditional:
         raise BracketError(f"{lemma_id} holds for every admissible coefficient; "
@@ -92,6 +117,8 @@ def find_beta_threshold(lemma_id: str, search=None, tol: float = DEFAULT_TOL,
     iterations = 0
     while bhi - blo > tol:
         mid = 0.5 * (blo + bhi)
+        if not blo < mid < bhi:
+            break
         if certified_at(lemma_id, mid, gamma, grid):
             bhi = mid
         else:

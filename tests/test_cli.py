@@ -1,10 +1,16 @@
 import csv
 import io
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import lemniscate
+from lemniscate import thresholds
 from lemniscate.catalog import LEMMAS
 from lemniscate.cli import main
 
@@ -86,6 +92,43 @@ class TestThreshold:
     def test_unconditional_lemma_is_bracket_error(self, capsys):
         code, _, _ = run(capsys, "threshold", "--lemma", "first0")
         assert code == 3
+
+    @pytest.mark.parametrize("tol", ["0", "-1e-4", "nan", "inf"])
+    def test_bad_tol_is_usage_error(self, capsys, monkeypatch, tol):
+        def no_scan(*args, **kwargs):
+            raise AssertionError("a bad tol must be rejected before any scan")
+
+        monkeypatch.setattr(thresholds, "certified_at", no_scan)
+        code, out, err = run(capsys, "threshold", "--lemma", "one0", f"--tol={tol}")
+        assert code == 1
+        assert out == ""
+        assert "tol" in err
+
+    def test_sub_ulp_tol_returns_adjacent_floats(self):
+        # a subprocess, so that a bisection that never stops fails on the timeout
+        src = str(Path(lemniscate.__file__).parents[1])
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+            filter(None, [src, os.environ.get("PYTHONPATH")]))}
+        proc = subprocess.run(
+            [sys.executable, "-m", "lemniscate", "threshold", "--lemma", "one0",
+             "--tol", "1e-17"],
+            capture_output=True, text=True, timeout=60, env=env)
+        assert proc.returncode == 0, proc.stderr
+        res = json.loads(proc.stdout)["threshold"]
+        assert res["beta_high"] == np.nextafter(res["beta_low"], np.inf)
+        assert abs(res["beta_star"] - (4 - 2 * np.sqrt(2.0))) < 1e-6
+
+    def test_lone_lo_keeps_default_hi(self, capsys):
+        # the one0 bound 1.1716 lies below the requested interval (1.2, 6)
+        code, out, err = run(capsys, "threshold", "--lemma", "one0", "--lo", "1.2")
+        assert code == 3
+        assert out == ""
+        assert "[1.2, 6]" in err
+
+    def test_lone_hi_keeps_default_lo(self, capsys):
+        _, lone, _ = run(capsys, "threshold", "--lemma", "one0", "--hi", "3")
+        _, both, _ = run(capsys, "threshold", "--lemma", "one0", "--lo", "0.05", "--hi", "3")
+        assert lone == both
 
 
 class TestVerify:

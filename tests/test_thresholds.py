@@ -1,8 +1,10 @@
 import numpy as np
 import pytest
 
-from lemniscate.admissibility import GridSpec
-from lemniscate.catalog import UnknownLemmaError
+from lemniscate import thresholds
+from lemniscate.admissibility import (ConfigurationError, GridSpec, _margin_grid,
+                                      scan_profile)
+from lemniscate.catalog import LEMMAS, UnknownLemmaError, get_lemma
 from lemniscate.thresholds import (BracketError, certified_at,
                                    closed_form_beta, find_beta_threshold)
 
@@ -75,3 +77,97 @@ class TestBracketErrors:
     def test_bad_interval(self):
         with pytest.raises(BracketError):
             find_beta_threshold("one0", search=(2.0, 1.0))
+
+
+@pytest.fixture
+def step_certificate(monkeypatch):
+    """A step at beta = 1.2345 stands in for the scan; the call cap turns a
+    bisection that never ends into a failure instead of a hang."""
+    calls = []
+
+    def step(lemma_id, beta, gamma=None, grid=None):
+        calls.append(beta)
+        assert len(calls) < 200, "bisection did not stop"
+        return beta >= 1.2345
+
+    monkeypatch.setattr(thresholds, "certified_at", step)
+    return calls
+
+
+class TestTolerance:
+    @pytest.mark.parametrize("tol", [0.0, -1e-4, float("nan"), float("inf")])
+    def test_rejects_tol_that_is_not_finite_and_positive(self, step_certificate, tol):
+        with pytest.raises(ConfigurationError, match="tol"):
+            find_beta_threshold("one0", tol=tol)
+        assert issubclass(ConfigurationError, ValueError)
+        assert step_certificate == []
+
+    @pytest.mark.parametrize("tol", [1e-17, 5e-324])
+    def test_sub_ulp_tol_stops_at_adjacent_floats(self, step_certificate, tol):
+        result = find_beta_threshold("one0", tol=tol)
+        assert result.beta_high == np.nextafter(result.beta_low, np.inf)
+        assert result.beta_low < 1.2345 <= result.beta_high
+        assert result.iterations == len(step_certificate) - 8
+
+
+def _full_scan_certified(lemma_id, beta, gamma=None, grid=GridSpec()):
+    """The certificate by definition, from the full grid scan alone."""
+    lemma = get_lemma(lemma_id)
+    prof = scan_profile(lemma.make_form(beta, gamma), lemma.region, grid,
+                        n_class=lemma.n_class)
+    return bool(prof.objective.min() >= -grid.eps_adm and prof.min_is_centered(1e-12))
+
+
+THRESHOLDED = sorted(k for k, lem in LEMMAS.items() if lem.threshold_ref is not None)
+
+
+class TestCenterBandReject:
+    @pytest.mark.parametrize("lemma_id", THRESHOLDED)
+    def test_agrees_with_full_scan(self, lemma_id):
+        bound = LEMMAS[lemma_id].threshold_ref
+        betas = list(np.linspace(0.05, 6.0, 25))
+        betas += [bound * (1 + d) for d in (-1e-3, 1e-3, -1e-4, 1e-4)]
+        betas += [bound - 1e-5, bound + 1e-5]
+        flags = [certified_at(lemma_id, float(b)) for b in betas]
+        assert flags == [_full_scan_certified(lemma_id, float(b)) for b in betas]
+        assert True in flags and False in flags
+
+    @pytest.mark.parametrize("lemma_id,beta", [
+        ("first3", 1.0),   # lemniscate target
+        ("sq2", 2.5),      # disk target
+        ("ex2", None),     # half-plane target
+        ("moebius", 1.5),  # Moebius-disk target
+        ("second-sum", None),  # second-order form, exact t-projection
+    ])
+    def test_band_rows_are_full_grid_rows(self, lemma_id, beta):
+        lemma = get_lemma(lemma_id)
+        form = lemma.make_form(beta)
+        grid = GridSpec()
+        theta, m = grid.theta_grid(), grid.m_grid(lemma.n_class)
+        c = len(theta) // 2
+        band = _margin_grid(form, lemma.region, theta[c - 1:c + 2], m)
+        full = _margin_grid(form, lemma.region, theta, m)
+        assert np.array_equal(band, full[c - 1:c + 2])
+
+    def test_shortcut_saves_full_scans_without_moving_the_bracket(self, monkeypatch):
+        monkeypatch.setattr(thresholds, "certified_at", _full_scan_certified)
+        reference = find_beta_threshold("one1")
+        monkeypatch.undo()
+
+        certs, scans = [], []
+        real_certified, real_scan = thresholds.certified_at, thresholds.scan_profile
+
+        def counting_certified(*args, **kwargs):
+            certs.append(args)
+            return real_certified(*args, **kwargs)
+
+        def counting_scan(*args, **kwargs):
+            scans.append(args)
+            return real_scan(*args, **kwargs)
+
+        monkeypatch.setattr(thresholds, "certified_at", counting_certified)
+        monkeypatch.setattr(thresholds, "scan_profile", counting_scan)
+        result = find_beta_threshold("one1")
+        assert result == reference
+        assert len(certs) == 22
+        assert len(scans) < 22
