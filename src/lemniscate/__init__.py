@@ -25,12 +25,12 @@ from .catalog import (LEMMAS, ArityError, DerivOverP, FirstOrderPlus,
                       UnknownLemmaError, closed_form_g, direct_objective,
                       evaluate, get_lemma, min_g_formula)
 from .geometry import (DELTA, Disk, DomainError, HalfPlaneReLess,
-                       LemniscateDelta, MoebiusDisk, PoleError, contains,
-                       lemniscate_boundary, margin, principal_sqrt)
+                       LemniscateDelta, MoebiusDisk, PoleError,
+                       lemniscate_boundary)
 from .series import (NonInvertibleSeriesError, NormalizationError,
                      TruncatedSeries, p_of_f, sqrt_one_plus_z_series)
 from .thresholds import (BracketError, MonotonicityError, ThresholdResult,
-                         certified_at, closed_form_beta, find_beta_threshold)
+                         certified_at, find_beta_threshold)
 from .verifier import (ImageProbe, ImplicationReport, ProbeSpec,
                        hypothesis_series, image_in_region,
                        random_normalized_f, random_normalized_p,

@@ -16,7 +16,7 @@ can only lower the minimum, never raise it.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Optional
 
 import numpy as np
@@ -35,7 +35,8 @@ class GridSpec:
 
     theta_points: int = 2001
     theta_margin: float = THETA_EPS
-    m_min: Optional[float] = None
+    m_min: Optional[float] = field(
+        default=None, metadata={"help": "lowest m (defaults to the lemma's class index)"})
     m_max: float = 8.0
     m_points: int = 64
     eps_adm: float = 1e-9

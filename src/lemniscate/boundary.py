@@ -27,7 +27,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .geometry import QUARTER_PI, DomainError, lemniscate_boundary
+from .geometry import QUARTER_PI, DomainError
 
 # default clamp for grid scans; see module docstring
 THETA_EPS = 1e-6
@@ -81,19 +81,11 @@ class HalfPlane:
 
 def make_triple(theta: float, m: float) -> AdmissibleTriple:
     """Assemble the admissibility data at (theta, m); m >= 1, |theta| < pi/4."""
-    _check_theta(theta)
-    if m < 1.0:
-        raise DomainError("m must be >= 1")
-    c = np.cos(2.0 * theta)
-    root = np.sqrt(2.0 * c)
-    r = lemniscate_boundary(theta)
-    s_base = np.exp(3j * theta) / (2.0 * root)  # s at m = 1; s scales exactly in m
-    s = m * s_base
-    tau = m * (3.0 * m - 4.0) / (8.0 * root)
-    zeta = 2.0 * c * np.exp(2j * theta) - 1.0
+    r, s, tau, _ = jet_arrays(np.array([float(theta)]), np.array([float(m)]))
+    zeta = 2.0 * np.cos(2.0 * theta) * np.exp(2j * theta) - 1.0
     return AdmissibleTriple(
-        theta=float(theta), m=float(m), r=complex(r), s=complex(s),
-        tau_min=float(tau), zeta=complex(zeta),
+        theta=float(theta), m=float(m), r=complex(r[0, 0]), s=complex(s[0, 0]),
+        tau_min=float(tau[0, 0]), zeta=complex(zeta),
     )
 
 

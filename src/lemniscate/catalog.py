@@ -57,6 +57,8 @@ class ParameterError(ValueError):
 
 def _as_real_beta(beta, who: str) -> float:
     b = complex(beta)
+    if not np.isfinite(b):
+        raise ParameterError(f"{who} requires a finite coefficient")
     if b.imag != 0.0:
         raise ParameterError(f"{who} requires a real coefficient")
     if not b.real > 0.0:
@@ -101,8 +103,8 @@ class SquarePlus:
             raise ParameterError("exponent n must be one of -1, 0, 1, 2")
         b = complex(self.beta)
         if self.n == -1:
-            if not b.real > 0.0:
-                raise ParameterError("a^2 + beta*a*b requires Re beta > 0")
+            if not (np.isfinite(b) and b.real > 0.0):
+                raise ParameterError("a^2 + beta*a*b requires a finite beta with Re beta > 0")
             object.__setattr__(self, "beta", b)
         else:
             object.__setattr__(self, "beta", _as_real_beta(b, "a^2 + beta*b/a^n"))
@@ -162,38 +164,38 @@ class DerivOverP:
         return b / a
 
 
-@dataclass(frozen=True)
-class SecondOrderSum:
-    """psi(a, b, c) = b + c."""
+class _SecondOrder:
+    """psi(a, b, c) = base(a, b) + t_coefficient * c.
+
+    Affine in the second-order slot by construction, which is what the exact
+    t-projection of :func:`second_order_min_distance` relies on.
+    """
 
     order = 2
+    t_coefficient = 1.0
+
+    def value(self, a, b, t):
+        return self.base(a, b) + self.t_coefficient * t
+
+
+@dataclass(frozen=True)
+class SecondOrderSum(_SecondOrder):
+    """psi(a, b, c) = b + c."""
 
     def base(self, a, b):
         return b
 
-    t_coefficient = 1.0
-
-    def value(self, a, b, t):
-        return b + t
-
 
 @dataclass(frozen=True)
-class SecondOrderSquareSum:
+class SecondOrderSquareSum(_SecondOrder):
     """psi(a, b, c) = a^2 + b + c."""
-
-    order = 2
 
     def base(self, a, b):
         return a * a + b
 
-    t_coefficient = 1.0
-
-    def value(self, a, b, t):
-        return a * a + b + t
-
 
 @dataclass(frozen=True)
-class SecondOrderWeighted:
+class SecondOrderWeighted(_SecondOrder):
     """psi(a, b, c) = gamma*b + beta*c with gamma, beta > 0."""
 
     gamma: float
@@ -203,17 +205,12 @@ class SecondOrderWeighted:
         object.__setattr__(self, "gamma", _as_real_beta(self.gamma, "gamma*b + beta*c"))
         object.__setattr__(self, "beta", _as_real_beta(self.beta, "gamma*b + beta*c"))
 
-    order = 2
-
     def base(self, a, b):
         return self.gamma * b
 
     @property
     def t_coefficient(self):
         return self.beta
-
-    def value(self, a, b, t):
-        return self.gamma * b + self.beta * t
 
 
 PsiForm = (

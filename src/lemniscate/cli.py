@@ -17,6 +17,7 @@ import io
 import json
 import sys
 import time
+from dataclasses import asdict, fields
 from pathlib import Path
 
 import numpy as np
@@ -46,25 +47,7 @@ def _cnum(z) -> list | None:
 
 
 def _grid_from(ns) -> GridSpec:
-    return GridSpec(
-        theta_points=ns.theta_points,
-        theta_margin=ns.theta_margin,
-        m_min=ns.m_min,
-        m_max=ns.m_max,
-        m_points=ns.m_points,
-        eps_adm=ns.eps_adm,
-    )
-
-
-def _grid_json(grid: GridSpec) -> dict:
-    return {
-        "theta_points": grid.theta_points,
-        "theta_margin": grid.theta_margin,
-        "m_min": grid.m_min,
-        "m_max": grid.m_max,
-        "m_points": grid.m_points,
-        "eps_adm": grid.eps_adm,
-    }
+    return GridSpec(**{f.name: getattr(ns, f.name) for f in fields(GridSpec)})
 
 
 def _params_json(beta, gamma) -> dict:
@@ -87,21 +70,11 @@ def _report(payload: dict, ns) -> str:
 
 
 def _resolve_params(lemma, ns):
-    beta = ns.beta
-    if beta is not None and getattr(ns, "beta_im", 0.0):
-        beta = complex(beta, ns.beta_im)
-    gamma = ns.gamma
-    if lemma.params == "none":
-        if beta is not None or gamma is not None:
-            raise ParameterError(f"{lemma.lemma_id} takes no coefficients")
-        return None, None
-    if beta is None:
-        beta = lemma.default_beta
-    if lemma.params == "beta-gamma":
-        if gamma is None:
-            gamma = lemma.default_gamma
-    else:
-        gamma = None
+    """Flag values over the lemma's defaults; ``make_form`` judges the result."""
+    beta = lemma.default_beta if ns.beta is None else ns.beta
+    if ns.beta_im:
+        beta = complex(0.0 if beta is None else beta, ns.beta_im)
+    gamma = lemma.default_gamma if ns.gamma is None else ns.gamma
     return beta, gamma
 
 
@@ -120,7 +93,7 @@ def _cmd_check(ns) -> int:
         "command": "check",
         "lemma": ns.lemma,
         "params": _params_json(beta, gamma),
-        "grid": _grid_json(grid),
+        "grid": asdict(grid),
         "verdict": {
             "admissible": verdict.admissible,
             "min_objective_seen": verdict.min_objective_seen,
@@ -148,7 +121,7 @@ def _cmd_threshold(ns) -> int:
         "command": "threshold",
         "lemma": ns.lemma,
         "params": _params_json(None, None),
-        "grid": _grid_json(grid),
+        "grid": asdict(grid),
         "threshold": {
             "beta_low": result.beta_low,
             "beta_high": result.beta_high,
@@ -166,6 +139,7 @@ def _cmd_threshold(ns) -> int:
 def _cmd_verify(ns) -> int:
     lemma = get_lemma(ns.lemma)
     beta, gamma = _resolve_params(lemma, ns)
+    lemma.make_form(beta, gamma)  # reject bad coefficients before drawing any p
     spec = ProbeSpec()
     if ns.p_json:
         candidates = [TruncatedSeries.from_json(Path(ns.p_json).read_text())]
@@ -269,14 +243,9 @@ def _cmd_boundary(ns) -> int:
         lemma = get_lemma(ns.psi)
         beta, gamma = _resolve_params(lemma, ns)
         form = lemma.make_form(beta, gamma)
-        m = np.array([1.0])
-        r, s, tau, e3 = jet_arrays(theta, m)
-        if form.order == 2:
-            # second-order values shown at the constraint-boundary t
-            t = (tau * e3)[:, 0]
-            psi = form.value(r[:, 0], s[:, 0], t)
-        else:
-            psi = form.value(r[:, 0], s[:, 0])
+        r, s, tau, e3 = jet_arrays(theta, np.array([1.0]))
+        # second-order values shown at the constraint-boundary t
+        psi = (form.value(r, s, tau * e3) if form.order == 2 else form.value(r, s))[:, 0]
         columns += ["psi_re", "psi_im"]
         data += [psi.real, psi.imag]
     if ns.format == "json":
@@ -298,13 +267,17 @@ def _cmd_boundary(ns) -> int:
 
 
 def _add_grid_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--theta-points", type=int, default=2001)
-    p.add_argument("--theta-margin", type=float, default=THETA_EPS)
-    p.add_argument("--m-min", type=float, default=None,
-                   help="lowest m (defaults to the lemma's class index)")
-    p.add_argument("--m-max", type=float, default=8.0)
-    p.add_argument("--m-points", type=int, default=64)
-    p.add_argument("--eps-adm", type=float, default=1e-9)
+    for f in fields(GridSpec):
+        p.add_argument("--" + f.name.replace("_", "-"), default=f.default,
+                       type=float if f.default is None else type(f.default),
+                       help=f.metadata.get("help"))
+
+
+def _add_coefficient_flags(p: argparse.ArgumentParser) -> None:
+    p.add_argument("--beta", type=float)
+    p.add_argument("--beta-im", type=float, default=0.0,
+                   help="imaginary part of beta, added to the given or default real part")
+    p.add_argument("--gamma", type=float)
 
 
 def _add_common(p: argparse.ArgumentParser) -> None:
@@ -323,10 +296,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     pc = sub.add_parser("check", help="scan one lemma's functional for violations")
     pc.add_argument("--lemma", required=True, choices=sorted(LEMMAS))
-    pc.add_argument("--beta", type=float)
-    pc.add_argument("--beta-im", type=float, default=0.0,
-                    help="imaginary part of beta (sq-1 only)")
-    pc.add_argument("--gamma", type=float)
+    _add_coefficient_flags(pc)
     _add_grid_flags(pc)
     _add_common(pc)
 
@@ -340,9 +310,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     pv = sub.add_parser("verify", help="test hypothesis => conclusion on concrete p")
     pv.add_argument("--lemma", required=True, choices=sorted(LEMMAS))
-    pv.add_argument("--beta", type=float)
-    pv.add_argument("--beta-im", type=float, default=0.0)
-    pv.add_argument("--gamma", type=float)
+    _add_coefficient_flags(pv)
     group = pv.add_mutually_exclusive_group(required=True)
     group.add_argument("--p-json", help="JSON file of [re, im] coefficient pairs")
     group.add_argument("--random", type=int, help="number of random p to draw")
@@ -362,9 +330,7 @@ def _build_parser() -> argparse.ArgumentParser:
     pg.add_argument("--format", choices=["csv", "json"], default="csv")
     pg.add_argument("--psi", choices=sorted(LEMMAS),
                     help="add psi columns for this lemma (m = 1)")
-    pg.add_argument("--beta", type=float)
-    pg.add_argument("--beta-im", type=float, default=0.0)
-    pg.add_argument("--gamma", type=float)
+    _add_coefficient_flags(pg)
     _add_common(pg)
 
     return parser

@@ -32,15 +32,6 @@ class PoleError(ValueError):
     """Evaluation requested at a pole of the defining map (e.g. w = -1)."""
 
 
-def principal_sqrt(w):
-    """Principal branch of the square root (cut along the negative real axis).
-
-    Maps the slit plane C \\ (-inf, 0] into the open right half-plane, so
-    sqrt(1 + z) has value 1 at z = 0.
-    """
-    return np.sqrt(np.asarray(w, dtype=np.complex128))
-
-
 def lemniscate_boundary(theta):
     """Boundary point sqrt(2 cos 2*theta) e^{i*theta} of the right loop.
 
@@ -149,13 +140,3 @@ class MoebiusDisk:
 Region = LemniscateDelta | Disk | HalfPlaneReLess | MoebiusDisk
 
 DELTA = LemniscateDelta()
-
-
-def contains(region: Region, w) -> bool:
-    """Strict interior test for any region variant."""
-    return region.contains(w)
-
-
-def margin(region: Region, w):
-    """Signed defect of w relative to the region boundary (negative iff interior)."""
-    return region.margin(w)

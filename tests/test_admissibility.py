@@ -9,7 +9,7 @@ from lemniscate.admissibility import (ConfigurationError, GridSpec,
 from lemniscate.boundary import make_triple
 from lemniscate.catalog import (LEMMAS, SecondOrderSum, SecondOrderWeighted,
                                 closed_form_g, evaluate, get_lemma)
-from lemniscate.geometry import DELTA, Disk, margin
+from lemniscate.geometry import DELTA, Disk
 
 SQRT2 = np.sqrt(2.0)
 FAST = GridSpec(theta_points=1001, m_points=32)
@@ -44,7 +44,7 @@ class TestCheckAdmissible:
         triple = make_triple(w.theta, w.m)
         psi = evaluate(get_lemma("one0").make_form(1.0), triple)
         assert psi == pytest.approx(w.psi_value, abs=1e-12)
-        assert margin(DELTA, psi) == pytest.approx(w.margin, abs=1e-12)
+        assert DELTA.margin(psi) == pytest.approx(w.margin, abs=1e-12)
 
     def test_second_weighted_inside_condition(self):
         assert check_lemma("second-weighted", beta=0.25, gamma=0.5).admissible
@@ -61,7 +61,7 @@ class TestCheckAdmissible:
         form = get_lemma("second-weighted").make_form(beta=1 / 6, gamma=1 / 6)
         psi = evaluate(form, triple, t=w.t)
         region = get_lemma("second-weighted").region
-        assert margin(region, psi) == pytest.approx(w.margin, abs=1e-12)
+        assert region.margin(psi) == pytest.approx(w.margin, abs=1e-12)
         assert w.margin < -1e-9
 
     def test_halfplane_example(self):

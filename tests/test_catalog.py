@@ -145,6 +145,18 @@ class TestFormValidation:
         with pytest.raises(ParameterError):
             SquarePlus(-1, -0.5 + 1j)
 
+    @pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan, complex(1.0, np.nan),
+                                     complex(np.inf, 1.0)])
+    def test_non_finite_coefficients(self, bad):
+        for lemma in LEMMAS.values():
+            if lemma.params == "none":
+                continue
+            with pytest.raises(ParameterError, match="finite"):
+                lemma.make_form(bad, lemma.default_gamma)
+            if lemma.params == "beta-gamma":
+                with pytest.raises(ParameterError, match="finite"):
+                    lemma.make_form(lemma.default_beta, bad)
+
     def test_lemma_param_arity(self):
         with pytest.raises(ParameterError):
             get_lemma("ex1").make_form(beta=1.0)

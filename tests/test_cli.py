@@ -4,6 +4,7 @@ import json
 import os
 import subprocess
 import sys
+from dataclasses import asdict, fields
 from pathlib import Path
 
 import numpy as np
@@ -11,6 +12,7 @@ import pytest
 
 import lemniscate
 from lemniscate import thresholds
+from lemniscate.admissibility import GridSpec
 from lemniscate.catalog import LEMMAS
 from lemniscate.cli import main
 
@@ -59,6 +61,46 @@ class TestCheck:
         assert out == ""
         assert "m_max" in err
 
+    @pytest.mark.parametrize("argv", [
+        ["check", "--lemma", "one0", "--gamma", "5"],
+        ["check", "--lemma", "ex1", "--beta-im", "2"],
+        ["verify", "--lemma", "one0", "--gamma", "3", "--random", "1"],
+        ["boundary", "--points", "5", "--psi", "one0", "--gamma", "2"],
+    ])
+    def test_coefficient_the_lemma_does_not_take_is_usage_error(self, capsys, argv):
+        code, out, err = run(capsys, *argv)
+        assert code == 1
+        assert out == ""
+        assert "takes no" in err
+
+    @pytest.mark.parametrize("argv", [
+        ["--lemma", "first3", "--beta", "inf"],
+        ["--lemma", "sq-1", "--beta", "1", "--beta-im", "nan"],
+        ["--lemma", "sqrat", "--gamma", "nan"],
+    ])
+    def test_non_finite_coefficient_is_usage_error(self, capsys, argv):
+        code, out, err = run(capsys, "check", *argv)
+        assert code == 1
+        assert out == ""
+        assert "finite" in err
+
+    def test_beta_im_adds_to_the_default_real_part(self, capsys):
+        code, out, _ = run(capsys, "check", "--lemma", "sq-1", "--beta-im", "2")
+        assert code == 0
+        assert json.loads(out)["params"]["beta"] == [1.0, 2.0]
+
+    GRID_FLAGS = {"theta_points": 1001, "theta_margin": 1e-4, "m_min": 1.5,
+                  "m_max": 5.0, "m_points": 16, "eps_adm": 1e-7}
+
+    @pytest.mark.parametrize("name", [f.name for f in fields(GridSpec)])
+    def test_grid_flag_reaches_the_report(self, capsys, name):
+        value = self.GRID_FLAGS[name]
+        assert value != getattr(GridSpec(), name)
+        flag = "--" + name.replace("_", "-")
+        code, out, _ = run(capsys, "check", "--lemma", "ex2", flag, str(value))
+        assert code == 0
+        assert json.loads(out)["grid"] == {**asdict(GridSpec()), name: value}
+
     def test_default_json_is_byte_deterministic(self, capsys):
         _, first, _ = run(capsys, "check", "--lemma", "one0", "--beta", "1.3")
         _, second, _ = run(capsys, "check", "--lemma", "one0", "--beta", "1.3")
@@ -103,6 +145,17 @@ class TestThreshold:
         assert code == 1
         assert out == ""
         assert "tol" in err
+
+    @pytest.mark.parametrize("bound", ["--lo=7", "--lo=0", "--lo=nan", "--hi=inf"])
+    def test_bad_interval_is_usage_error(self, capsys, monkeypatch, bound):
+        def no_scan(*args, **kwargs):
+            raise AssertionError("a bad interval must be rejected before any scan")
+
+        monkeypatch.setattr(thresholds, "certified_at", no_scan)
+        code, out, err = run(capsys, "threshold", "--lemma", "one0", bound)
+        assert code == 1
+        assert out == ""
+        assert "lo < hi" in err
 
     def test_sub_ulp_tol_returns_adjacent_floats(self):
         # a subprocess, so that a bisection that never stops fails on the timeout

@@ -3,64 +3,63 @@ import pytest
 from hypothesis import given, strategies as st
 
 from lemniscate.geometry import (DELTA, Disk, DomainError, HalfPlaneReLess,
-                                 MoebiusDisk, PoleError, contains,
-                                 lemniscate_boundary, margin, principal_sqrt)
+                                 MoebiusDisk, PoleError, lemniscate_boundary)
 
 SQRT2 = np.sqrt(2.0)
 
 
 class TestContains:
     def test_delta_center(self):
-        assert contains(DELTA, 1 + 0j)
+        assert DELTA.contains(1 + 0j)
 
     def test_delta_boundary_point_excluded(self):
-        assert not contains(DELTA, SQRT2 + 0j)
+        assert not DELTA.contains(SQRT2 + 0j)
 
     def test_delta_generic_interior_point(self):
         w = 1.2 + 0.3j
         # direct evaluation: |w^2 - 1| = |0.35 + 0.72j| ~ 0.8006 < 1, Re w > 0
         assert abs(w * w - 1) == pytest.approx(0.8006, abs=1e-4)
-        assert contains(DELTA, w)
+        assert DELTA.contains(w)
 
     def test_delta_needs_positive_real_part(self):
         # |w^2 - 1| small but Re w < 0: the left loop is not in the region
-        assert not contains(DELTA, -1.0 + 0.1j)
+        assert not DELTA.contains(-1.0 + 0.1j)
 
     def test_disk(self):
-        assert contains(Disk(1 + 0j, 1 / (2 * SQRT2)), 1.0 + 0.3j)
-        assert not contains(Disk(1 + 0j, 1 / (2 * SQRT2)), 1.0 + 0.4j)
+        assert Disk(1 + 0j, 1 / (2 * SQRT2)).contains(1.0 + 0.3j)
+        assert not Disk(1 + 0j, 1 / (2 * SQRT2)).contains(1.0 + 0.4j)
 
     def test_halfplane(self):
         region = HalfPlaneReLess(0.25)
-        assert contains(region, 0.2 + 5j)
-        assert not contains(region, 0.25 + 0j)
+        assert region.contains(0.2 + 5j)
+        assert not region.contains(0.25 + 0j)
 
     def test_moebius_disk(self):
         region = MoebiusDisk()
-        assert contains(region, 1 + 0j)
-        assert not contains(region, 3 + 0j)  # |2*2/4| = 1, boundary
+        assert region.contains(1 + 0j)
+        assert not region.contains(3 + 0j)  # |2*2/4| = 1, boundary
 
     def test_moebius_pole(self):
         with pytest.raises(PoleError):
-            margin(MoebiusDisk(), -1 + 0j)
+            MoebiusDisk().margin(-1 + 0j)
 
 
 class TestMargin:
     def test_delta_at_anchor(self):
-        assert margin(DELTA, 1 + 0j) == pytest.approx(-1.0)
+        assert DELTA.margin(1 + 0j) == pytest.approx(-1.0)
 
     def test_disk_center(self):
-        assert margin(Disk(1 + 0j, 1.0), 1 + 0j) == pytest.approx(-1.0)
+        assert Disk(1 + 0j, 1.0).margin(1 + 0j) == pytest.approx(-1.0)
 
     def test_delta_boundary(self):
-        assert margin(DELTA, SQRT2 + 0j) == pytest.approx(0.0, abs=1e-15)
+        assert DELTA.margin(SQRT2 + 0j) == pytest.approx(0.0, abs=1e-15)
 
     def test_sign_matches_containment(self):
         rng = np.random.default_rng(11)
         w = rng.normal(size=10_000) + 1j * rng.normal(size=10_000)
         for region in (DELTA, Disk(1 + 0j, 0.7), HalfPlaneReLess(0.25), MoebiusDisk()):
             w_ok = w[w != -1.0] if isinstance(region, MoebiusDisk) else w
-            mg = margin(region, w_ok)
+            mg = region.margin(w_ok)
             inside = region.contains(w_ok)
             assert np.array_equal(mg < 0, inside)
 
@@ -93,29 +92,10 @@ class TestLemniscateBoundary:
         assert np.all(w.real > 0)
 
 
-class TestPrincipalSqrt:
-    def test_roundtrip_over_magnitude_range(self):
-        rng = np.random.default_rng(3)
-        mod = 10.0 ** rng.uniform(-6, 6, size=20_000)
-        arg = rng.uniform(-np.pi + 1e-9, np.pi, size=20_000)
-        w = mod * np.exp(1j * arg)
-        err = np.abs(principal_sqrt(w) ** 2 - w) / np.abs(w)
-        assert np.max(err) < 1e-12
-
-    def test_maps_slit_plane_to_right_halfplane(self):
-        rng = np.random.default_rng(4)
-        w = rng.normal(size=5000) + 1j * rng.normal(size=5000)
-        w = w[(w.imag != 0) | (w.real > 0)]
-        assert np.all(principal_sqrt(w).real > 0)
-
-    def test_anchor(self):
-        assert complex(principal_sqrt(1.0 + 0j)) == 1.0
-
-
 @given(st.floats(-50, 50), st.floats(-50, 50))
 def test_delta_conjugation_symmetry(x, y):
     w = complex(x, y)
-    assert contains(DELTA, np.conj(w)) == contains(DELTA, w)
+    assert DELTA.contains(np.conj(w)) == DELTA.contains(w)
 
 
 @given(st.floats(-np.pi / 4 + 1e-6, np.pi / 4 - 1e-6))
@@ -123,4 +103,4 @@ def test_boundary_point_sits_on_the_boundary(theta):
     # strict containment at an exact boundary point is a roundoff coin flip;
     # the invariant is that the margin vanishes there
     w = lemniscate_boundary(theta)
-    assert abs(margin(DELTA, w)) < 1e-12
+    assert abs(DELTA.margin(w)) < 1e-12

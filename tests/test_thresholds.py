@@ -4,9 +4,8 @@ import pytest
 from lemniscate import thresholds
 from lemniscate.admissibility import (ConfigurationError, GridSpec, _margin_grid,
                                       scan_profile)
-from lemniscate.catalog import LEMMAS, UnknownLemmaError, get_lemma
-from lemniscate.thresholds import (BracketError, certified_at,
-                                   closed_form_beta, find_beta_threshold)
+from lemniscate.catalog import LEMMAS, get_lemma
+from lemniscate.thresholds import BracketError, certified_at, find_beta_threshold
 
 SQRT2 = np.sqrt(2.0)
 
@@ -22,13 +21,11 @@ CLOSED = {
 class TestClosedForms:
     @pytest.mark.parametrize("lemma_id,value", sorted(CLOSED.items()))
     def test_values(self, lemma_id, value):
-        assert closed_form_beta(lemma_id) == pytest.approx(value, abs=1e-15)
+        assert get_lemma(lemma_id).threshold_closed == pytest.approx(value, abs=1e-15)
 
     def test_no_closed_form(self):
-        with pytest.raises(UnknownLemmaError):
-            closed_form_beta("first3")
-        with pytest.raises(UnknownLemmaError):
-            closed_form_beta("first0")
+        assert get_lemma("first3").threshold_closed is None
+        assert get_lemma("first0").threshold_closed is None
 
 
 class TestBisection:
@@ -75,7 +72,7 @@ class TestBracketErrors:
             find_beta_threshold("first0")
 
     def test_bad_interval(self):
-        with pytest.raises(BracketError):
+        with pytest.raises(ConfigurationError):
             find_beta_threshold("one0", search=(2.0, 1.0))
 
 
@@ -85,7 +82,7 @@ def step_certificate(monkeypatch):
     bisection that never ends into a failure instead of a hang."""
     calls = []
 
-    def step(lemma_id, beta, gamma=None, grid=None):
+    def step(lemma_id, beta, grid=None):
         calls.append(beta)
         assert len(calls) < 200, "bisection did not stop"
         return beta >= 1.2345
@@ -110,10 +107,19 @@ class TestTolerance:
         assert result.iterations == len(step_certificate) - 8
 
 
-def _full_scan_certified(lemma_id, beta, gamma=None, grid=GridSpec()):
+class TestSearchInterval:
+    @pytest.mark.parametrize("search", [(7.0, 6.0), (0.0, 6.0), (float("nan"), 6.0),
+                                        (0.05, float("inf")), (-1.0, 6.0)])
+    def test_rejects_malformed_interval_before_any_scan(self, step_certificate, search):
+        with pytest.raises(ConfigurationError, match="lo < hi"):
+            find_beta_threshold("one0", search=search)
+        assert step_certificate == []
+
+
+def _full_scan_certified(lemma_id, beta, grid=GridSpec()):
     """The certificate by definition, from the full grid scan alone."""
     lemma = get_lemma(lemma_id)
-    prof = scan_profile(lemma.make_form(beta, gamma), lemma.region, grid,
+    prof = scan_profile(lemma.make_form(beta), lemma.region, grid,
                         n_class=lemma.n_class)
     return bool(prof.objective.min() >= -grid.eps_adm and prof.min_is_centered(1e-12))
 
