@@ -45,6 +45,10 @@ class GridSpec:
         if self.theta_points < 1000:
             raise ConfigurationError("theta_points must be at least 1000")
         check_theta_margin(self.theta_margin)
+        if not (np.isfinite(self.eps_adm) and self.eps_adm >= 0.0):
+            raise ConfigurationError("eps_adm must be finite and >= 0")
+        if not np.isfinite(self.m_max) or not np.isfinite(self.m_min or 1.0):
+            raise ConfigurationError("m_min and m_max must be finite")
         if self.m_min is not None and self.m_min < 1.0:
             raise ConfigurationError("m_min must be >= 1")
         if self.m_points < 2 or self.m_max <= (self.m_min or 1.0):
@@ -90,16 +94,6 @@ class Profile:
 
     theta: np.ndarray
     objective: np.ndarray
-
-    @property
-    def center_index(self) -> int:
-        return len(self.theta) // 2
-
-    def argmin_theta(self) -> float:
-        return float(self.theta[int(np.argmin(self.objective))])
-
-    def min_is_centered(self, tol: float = 1e-12) -> bool:
-        return bool(self.objective.min() >= self.objective[self.center_index] - tol)
 
 
 def _require_pairing(form: PsiForm, region: Region) -> None:
@@ -206,8 +200,8 @@ def scan_profile(form: PsiForm, region: Region, grid: GridSpec = GridSpec(),
                  n_class: int = 1) -> Profile:
     """Per-theta profile of the objective, minimized over m (and t, exactly).
 
-    Evidence gatherer for where the objective minimum sits; the center-line
-    claim behind each tabulated constant is ``min_is_centered()``.
+    Evidence gatherer for where the objective minimum sits; the claim behind
+    each tabulated constant is that it sits on the center line theta = 0.
     """
     _require_pairing(form, region)
     theta = grid.theta_grid()

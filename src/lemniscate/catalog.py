@@ -562,6 +562,8 @@ class LemmaSpec:
                 raise ParameterError(f"{self.lemma_id} needs beta")
             if gamma is not None:
                 raise ParameterError(f"{self.lemma_id} takes no gamma")
+            if self.params == "beta":
+                beta = _as_real_beta(beta, self.lemma_id)
             return self.form_factory(beta)
         if beta is None or gamma is None:
             raise ParameterError(f"{self.lemma_id} needs beta and gamma")

@@ -235,6 +235,8 @@ def _cmd_table(ns) -> int:
 def _cmd_boundary(ns) -> int:
     if ns.points < 2:
         raise ParameterError("need at least 2 boundary points")
+    if not ns.psi and (ns.beta is not None or ns.beta_im or ns.gamma is not None):
+        raise ParameterError("--beta, --beta-im and --gamma need --psi")
     theta = theta_grid(ns.points, ns.theta_margin)
     w = lemniscate_boundary(theta)
     columns = ["theta", "re_w", "im_w"]

@@ -2,9 +2,9 @@
 
 sqrt(1+z) is univalent on the disk, so p is subordinate to it exactly when
 p(0) = 1 and the image p(D) stays inside the lemniscate interior; the same
-containment criterion applies to every catalogued target h(D).  Images are
-probed on circles |z| = rho for rho near 1, with the truncation order raised
-until the coefficient tail at the largest radius is negligible.
+containment criterion applies to every catalogued target h(D).  Each image is
+probed on one circle |z| = rho near 1, which decides the disk |z| <= rho, with
+the truncation order raised until the coefficient tail there is negligible.
 
 The falsification entry point is :func:`verify_implication`: build the lemma's
 differential expression for a concrete p by exact series arithmetic (never
@@ -29,22 +29,22 @@ from .series import NormalizationError, TruncatedSeries
 
 @dataclass(frozen=True)
 class ProbeSpec:
-    radial_levels: tuple = (0.9, 0.99, 0.999)
+    radius: float = 0.999
     angular_points: int = 4096
     tail_tol: float = 1e-8
     start_order: int = 64
     max_order: int = 2048
 
     def __post_init__(self):
-        if not all(0.0 < r < 1.0 for r in self.radial_levels):
-            raise ValueError("radial levels must lie in (0, 1)")
+        if not 0.0 < self.radius < 1.0:  # also rejects NaN
+            raise ValueError("the probe radius must lie in (0, 1)")
         if self.angular_points < 8:
             raise ValueError("need at least 8 angular points")
 
 
 @dataclass(frozen=True)
 class ImageProbe:
-    radial_levels: tuple
+    radius: float
     angular_points: int
     max_margin: float
     worst_point: tuple  # (z, w) at the largest margin
@@ -70,33 +70,34 @@ class ImplicationReport:
 
 
 def image_in_region(p, region: Region, spec: ProbeSpec = ProbeSpec()) -> ImageProbe:
-    """Probe the image of the disk under p against the region.
+    """Probe the image of the disk |z| <= spec.radius under p against the region.
 
     p is a TruncatedSeries (treated as an exact polynomial) or any callable
     accepting complex arrays.  p(0) must sit at the region's anchor value.
+
+    Only the circle |z| = rho is sampled; it decides the disk.  Each target
+    is simply connected, so a circle image inside it winds around no outside
+    point, and by the argument principle p takes no outside value on the
+    disk.  Each margin composed with p is subharmonic, so its largest value
+    on the disk lies on the circle (maximum principle).  For the Moebius
+    target that holds where p != -1; -1 lies outside |w - 5/3| < 4/3, so a
+    circle image inside that disk cannot wind around it.
     """
+    rho, k = spec.radius, spec.angular_points
     if isinstance(p, TruncatedSeries):
         at_zero = complex(p.coeffs[0])
-        values_at = lambda rho, k: p.values_on_circle(rho, k)
+        w = p.values_on_circle(rho, k)
     else:
         at_zero = complex(p(np.array(0.0 + 0.0j)))
-        values_at = lambda rho, k: p(rho * np.exp(2j * np.pi * np.arange(k) / k))
+        w = p(rho * np.exp(2j * np.pi * np.arange(k) / k))
     if abs(at_zero - region.anchor) > 1e-9:
         raise NormalizationError(
             f"p(0) = {at_zero:g} does not match the region anchor {region.anchor:g}")
 
-    worst = (0.0 + 0.0j, at_zero)
-    worst_margin = -np.inf
-    k = spec.angular_points
-    for rho in spec.radial_levels:
-        w = values_at(rho, k)
-        margins = np.asarray(region.margin(w))
-        idx = int(np.argmax(margins))
-        if margins[idx] > worst_margin:
-            worst_margin = float(margins[idx])
-            z = rho * np.exp(2j * np.pi * idx / k)
-            worst = (complex(z), complex(w[idx]))
-    return ImageProbe(tuple(spec.radial_levels), k, worst_margin, worst)
+    margins = np.asarray(region.margin(w))
+    idx = int(np.argmax(margins))
+    z = rho * np.exp(2j * np.pi * idx / k)
+    return ImageProbe(rho, k, float(margins[idx]), (complex(z), complex(w[idx])))
 
 
 def hypothesis_series(lemma: LemmaSpec | str, p: TruncatedSeries,
@@ -120,7 +121,7 @@ def verify_implication(lemma_id: str, p: TruncatedSeries, beta=None, gamma=None,
     a p outside the lemma's coefficient class), 'COUNTEREXAMPLE' (hypothesis
     holds, conclusion fails).  p is treated as an exact polynomial; the
     internal working order is doubled until the tail of the hypothesis series
-    at the outermost probe radius drops below the probe tolerance.
+    at the probe radius drops below the probe tolerance.
     """
     lemma = get_lemma(lemma_id)
     if abs(complex(p.coeffs[0]) - 1.0) > 1e-9:
@@ -128,11 +129,10 @@ def verify_implication(lemma_id: str, p: TruncatedSeries, beta=None, gamma=None,
     low = p.coeffs[1:lemma.n_class]
     class_ok = bool(low.size == 0 or np.max(np.abs(low)) <= 1e-13)
 
-    rho_max = max(spec.radial_levels)
     work = max(spec.start_order, p.order)
     while True:
         hyp = hypothesis_series(lemma, p.pad_to(work), beta, gamma)
-        tail = hyp.tail_estimate(rho_max)
+        tail = hyp.tail_estimate(spec.radius)
         if tail <= spec.tail_tol or work >= spec.max_order:
             break
         work = min(2 * work, spec.max_order)

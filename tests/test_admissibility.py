@@ -141,24 +141,32 @@ class TestMinOverT:
             min_over_t(SecondOrderSum(), triple, DELTA)
 
 
+def _min_is_centered(prof, tol=1e-12):
+    return bool(prof.objective.min() >= prof.objective[len(prof.theta) // 2] - tol)
+
+
+def _argmin_theta(prof):
+    return float(prof.theta[int(np.argmin(prof.objective))])
+
+
 class TestScanProfile:
     def test_first3_centered_above_bound(self):
         lemma = get_lemma("first3")
         prof = scan_profile(lemma.make_form(1.25), lemma.region, FAST)
-        assert prof.min_is_centered()
-        assert abs(prof.argmin_theta()) < 1e-12
+        assert _min_is_centered(prof)
+        assert abs(_argmin_theta(prof)) < 1e-12
 
     def test_first3_off_center_below_bound_yet_admissible(self):
         lemma = get_lemma("first3")
         prof = scan_profile(lemma.make_form(0.5), lemma.region, FAST)
-        assert not prof.min_is_centered()
-        assert abs(prof.argmin_theta()) > 0.01
+        assert not _min_is_centered(prof)
+        assert abs(_argmin_theta(prof)) > 0.01
         assert prof.objective.min() > 0  # no violation: the bound is not sharp here
 
     def test_sq2_centered_above_bound(self):
         lemma = get_lemma("sq2")
         prof = scan_profile(lemma.make_form(3.0), lemma.region, FAST)
-        assert prof.min_is_centered()
+        assert _min_is_centered(prof)
 
     def test_profile_matches_verdict_minimum(self):
         lemma = get_lemma("one1")
@@ -210,6 +218,14 @@ class TestGridHygiene:
         for bad in (-0.1, 0.0, 1.0):
             with pytest.raises(ConfigurationError):
                 GridSpec(theta_margin=bad)
+        for bad in (np.nan, np.inf, -1.0, -1e-12):
+            with pytest.raises(ConfigurationError, match="eps_adm"):
+                GridSpec(eps_adm=bad)
+        for bad in ({"m_max": np.inf}, {"m_max": np.nan}, {"m_min": np.nan},
+                    {"m_min": np.inf}):
+            with pytest.raises(ConfigurationError, match="finite"):
+                GridSpec(**bad)
+        GridSpec(eps_adm=0.0)  # the non-strict boundary itself, no tolerance
 
     def test_m_max_must_exceed_class_index(self):
         # second-sqsum scans from m = 2: m_max = 1.5 would reverse the m grid

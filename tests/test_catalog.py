@@ -157,6 +157,16 @@ class TestFormValidation:
                 with pytest.raises(ParameterError, match="finite"):
                     lemma.make_form(lemma.default_beta, bad)
 
+    def test_real_beta_lemmas_reject_complex_beta(self):
+        # moebius builds the complex-capable SquarePlus(-1, .), yet its oracle
+        # and its params declare a real beta
+        for lemma in LEMMAS.values():
+            if lemma.params == "beta":
+                with pytest.raises(ParameterError, match="real"):
+                    lemma.make_form(lemma.default_beta + 1j)
+        assert get_lemma("moebius").make_form(2.0).beta == 2.0
+        assert get_lemma("sq-1").make_form(1 + 2j).beta == 1 + 2j
+
     def test_lemma_param_arity(self):
         with pytest.raises(ParameterError):
             get_lemma("ex1").make_form(beta=1.0)

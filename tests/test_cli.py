@@ -84,6 +84,28 @@ class TestCheck:
         assert out == ""
         assert "finite" in err
 
+    @pytest.mark.parametrize("argv", [
+        ["--eps-adm", "nan"],
+        ["--eps-adm", "-1"],
+        ["--eps-adm", "inf"],
+        ["--m-max", "inf"],
+        ["--m-min", "nan"],
+    ])
+    def test_non_finite_or_negative_grid_value_is_usage_error(self, capsys, argv):
+        # each used to print a false violation or invalid JSON (NaN, Infinity)
+        code, out, err = run(capsys, "check", "--lemma", "first3", "--beta", "1.5", *argv)
+        assert code == 1
+        assert out == ""
+        assert argv[0][2:].replace("-", "_") in err
+
+    @pytest.mark.parametrize("command", [["check"], ["verify", "--random", "1"]])
+    def test_complex_beta_for_a_real_beta_lemma_is_usage_error(self, capsys, command):
+        code, out, err = run(capsys, *command, "--lemma", "moebius", "--beta", "2",
+                             "--beta-im", "1")
+        assert code == 1
+        assert out == ""
+        assert "real" in err
+
     def test_beta_im_adds_to_the_default_real_part(self, capsys):
         code, out, _ = run(capsys, "check", "--lemma", "sq-1", "--beta-im", "2")
         assert code == 0
@@ -252,6 +274,13 @@ class TestBoundary:
         mid = rows[6]
         assert float(mid[3]) == pytest.approx(np.sqrt(2) + 0.25)
         assert float(mid[4]) == pytest.approx(0.0, abs=1e-15)
+
+    @pytest.mark.parametrize("flag", [["--beta", "2"], ["--beta-im", "1"], ["--gamma", "2"]])
+    def test_coefficient_without_psi_is_usage_error(self, capsys, flag):
+        code, out, err = run(capsys, "boundary", "--points", "5", *flag)
+        assert code == 1
+        assert out == ""
+        assert "--psi" in err
 
     @pytest.mark.parametrize("margin", ["-0.1", "0", "1.0"])
     def test_theta_margin_out_of_range_is_usage_error(self, capsys, margin):

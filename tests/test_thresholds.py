@@ -121,7 +121,8 @@ def _full_scan_certified(lemma_id, beta, grid=GridSpec()):
     lemma = get_lemma(lemma_id)
     prof = scan_profile(lemma.make_form(beta), lemma.region, grid,
                         n_class=lemma.n_class)
-    return bool(prof.objective.min() >= -grid.eps_adm and prof.min_is_centered(1e-12))
+    lowest, center = prof.objective.min(), prof.objective[len(prof.theta) // 2]
+    return bool(lowest >= -grid.eps_adm and lowest >= center - 1e-12)
 
 
 THRESHOLDED = sorted(k for k, lem in LEMMAS.items() if lem.threshold_ref is not None)

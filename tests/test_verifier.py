@@ -48,9 +48,58 @@ class TestImageInRegion:
         for p in (sqrt_one_plus_z_series(96), random_normalized_p(16, seed=5)):
             per_radius = []
             for rho in (0.9, 0.99, 0.999):
-                spec = ProbeSpec(radial_levels=(rho,))
+                spec = ProbeSpec(radius=rho)
                 per_radius.append(image_in_region(p, DELTA, spec).max_margin)
             assert per_radius == sorted(per_radius)
+
+    @pytest.mark.parametrize("radius", [0.0, 1.0, -0.5, np.nan])
+    def test_radius_outside_the_open_unit_interval_is_rejected(self, radius):
+        with pytest.raises(ValueError, match="radius"):
+            ProbeSpec(radius=radius)
+
+
+def _three_level_reference(series, region, k=4096):
+    """The largest margin over the circles 0.9, 0.99 and 0.999, and where it sat."""
+    worst_margin, worst = -np.inf, None
+    for rho in (0.9, 0.99, 0.999):
+        w = series.values_on_circle(rho, k)
+        margins = region.margin(w)
+        idx = int(np.argmax(margins))
+        if margins[idx] > worst_margin:
+            worst_margin = float(margins[idx])
+            worst = (complex(rho * np.exp(2j * np.pi * idx / k)), complex(w[idx]))
+    return worst_margin, worst
+
+
+def test_outer_circle_matches_three_level_reference():
+    # the maximum principle puts every largest margin on the outermost circle
+    for lemma_id, lemma in LEMMAS.items():
+        beta, gamma = lemma.default_beta, lemma.default_gamma
+        for seed in range(10):
+            p = random_normalized_p(16, seed=seed, n_class=lemma.n_class)
+            rep = verify_implication(lemma_id, p, beta, gamma)
+            hyp = hypothesis_series(lemma, p.pad_to(rep.work_order), beta, gamma)
+            for probe, series, region in ((rep.hypothesis_probe, hyp, lemma.region),
+                                          (rep.conclusion_probe, p, DELTA)):
+                got = (probe.max_margin, probe.worst_point)
+                assert got == _three_level_reference(series, region), (lemma_id, seed)
+
+
+def test_one_circle_evaluation_per_probe(monkeypatch):
+    calls = []
+    original = TruncatedSeries.values_on_circle
+
+    def counting(self, radius, points):
+        calls.append(radius)
+        return original(self, radius, points)
+
+    monkeypatch.setattr(TruncatedSeries, "values_on_circle", counting)
+    for lemma_id in ("first0", "moebius", "second-weighted"):
+        lemma = LEMMAS[lemma_id]
+        p = random_normalized_p(16, seed=1, n_class=lemma.n_class)
+        calls.clear()
+        verify_implication(lemma_id, p, lemma.default_beta, lemma.default_gamma)
+        assert calls == [0.999, 0.999]
 
 
 class TestHypothesisSeries:
