@@ -14,8 +14,7 @@ Three layers:
 __version__ = "0.1.0"
 
 from .admissibility import (GridSpec, Profile, Verdict, Witness,
-                            check_admissible, m_tail_ok, min_over_t,
-                            scan_profile)
+                            check_admissible, min_over_t, scan_profile)
 from .boundary import (THETA_EPS, AdmissibleTriple, HalfPlane,
                        curvature_identity, make_triple, t_halfplane)
 from .catalog import (LEMMAS, ArityError, DerivOverP, FirstOrderPlus,
@@ -23,7 +22,7 @@ from .catalog import (LEMMAS, ArityError, DerivOverP, FirstOrderPlus,
                       SecondOrderSum, SecondOrderSquareSum,
                       SecondOrderWeighted, SquarePlus, SquareRational,
                       UnknownLemmaError, closed_form_g, direct_objective,
-                      evaluate, get_lemma, min_g_formula)
+                      evaluate, get_lemma)
 from .geometry import (DELTA, Disk, DomainError, HalfPlaneReLess,
                        LemniscateDelta, MoebiusDisk, PoleError,
                        lemniscate_boundary)

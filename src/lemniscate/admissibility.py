@@ -209,11 +209,3 @@ def scan_profile(form: PsiForm, region: Region, grid: GridSpec = GridSpec(),
     margins = _margin_grid(form, region, theta, m)
     return Profile(theta=theta, objective=margins.min(axis=1))
 
-
-def m_tail_ok(form: PsiForm, region: Region, grid: GridSpec = GridSpec()) -> bool:
-    """Guard for the m truncation: the objective at m_max must dominate m_max/2."""
-    _require_pairing(form, region)
-    theta = grid.theta_grid()
-    hi = _margin_grid(form, region, theta, np.array([grid.m_max]))[:, 0]
-    half = _margin_grid(form, region, theta, np.array([grid.m_max / 2.0]))[:, 0]
-    return bool(np.all(hi > half))

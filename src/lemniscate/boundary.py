@@ -27,7 +27,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .geometry import QUARTER_PI, DomainError
+from .geometry import QUARTER_PI, DomainError, check_theta
 
 # default clamp for grid scans; see module docstring
 THETA_EPS = 1e-6
@@ -52,11 +52,6 @@ def theta_grid(points: int, margin: float = THETA_EPS) -> np.ndarray:
     if points % 2 == 1:
         th[points // 2] = 0.0
     return th
-
-
-def _check_theta(theta) -> None:
-    if np.any(np.abs(np.asarray(theta, dtype=np.float64)) >= QUARTER_PI):
-        raise DomainError("theta must satisfy |theta| < pi/4")
 
 
 @dataclass(frozen=True)
@@ -91,7 +86,7 @@ def make_triple(theta: float, m: float) -> AdmissibleTriple:
 
 def curvature_identity(theta: float) -> float:
     """Re(e^{-2i*theta}/(4 cos 2*theta) + 1/2), identically 3/4 on the arc."""
-    _check_theta(theta)
+    check_theta(theta)
     th = np.asarray(theta, dtype=np.float64)
     val = np.real(np.exp(-2j * th) / (4.0 * np.cos(2.0 * th)) + 0.5)
     return float(val) if np.isscalar(theta) else val
@@ -111,7 +106,7 @@ def jet_arrays(theta: np.ndarray, m: np.ndarray):
     Returns (r, s, tau_min, e3) with shapes (K,1), (K,M), (K,M), (K,1); r and
     e3 are kept as columns so the psi-forms broadcast against s without copies.
     """
-    _check_theta(theta)
+    check_theta(theta)
     if np.any(m < 1.0):
         raise DomainError("m must be >= 1")
     c = np.cos(2.0 * theta)

@@ -5,10 +5,10 @@ Each entry pairs a functional psi(a, b[, c]) of the jet slots
     a = p(z),   b = z p'(z),   c = z^2 p''(z)
 
 with the target region its boundary values must avoid, and with the closed
-form of its boundary objective g(theta) wherever a usable one exists.  The
-closed forms are independent expressions in sec(2*theta) and friends, kept so
-that direct evaluation of psi at the boundary jet can be cross-checked against
-them (the two routes must agree to roundoff).
+form of its boundary objective g(theta).  The closed forms are independent
+expressions in sec(2*theta) and friends, kept so that direct evaluation of
+psi at the boundary jet can be cross-checked against them (the two routes
+must agree to roundoff).
 
 The catalog is a closed enumeration keyed by stable string ids; extending it
 is a code change by design, since every entry couples a functional shape, a
@@ -38,7 +38,7 @@ import numpy as np
 
 from . import geometry
 from .boundary import jet_arrays
-from .geometry import DELTA, Disk, DomainError, HalfPlaneReLess, MoebiusDisk
+from .geometry import DELTA, Disk, HalfPlaneReLess, MoebiusDisk
 
 SQRT2 = np.sqrt(2.0)
 
@@ -423,109 +423,6 @@ def _g_second_weighted(theta, m, beta, gamma):
     return np.maximum(0.0, num) / (8.0 * np.sqrt(2.0 * c))
 
 
-# center-line (theta = 0) values of the objectives, as independent displays
-
-
-def _min_first0(m, beta, gamma=None):
-    u = beta * m
-    return 1.0 + 2.0 * u + 1.25 * u**2 + 0.25 * u**3 + u**4 / 64.0
-
-
-def _min_first1(m, beta, gamma=None):
-    u = beta * m
-    return 1.0 + SQRT2 * u + 5.0 * u**2 / 8.0 + u**3 / (8.0 * SQRT2) + u**4 / 256.0
-
-
-def _min_first2(m, beta, gamma=None):
-    u = beta * m
-    return 1.0 + u + 5.0 * u**2 / 16.0 + u**3 / 32.0 + u**4 / 1024.0
-
-
-def _min_first3(m, beta, gamma=None):
-    u = beta * m
-    return 1.0 + u / SQRT2 + 5.0 * u**2 / 32.0 + u**3 / (64.0 * SQRT2) + u**4 / 4096.0
-
-
-def _min_first4(m, beta, gamma=None):
-    u = beta * m
-    return 1.0 + u / 2.0 + 5.0 * u**2 / 64.0 + u**3 / 256.0 + u**4 / 16384.0
-
-
-def _min_sq_minus1(m, beta, gamma=None):
-    return abs(1.0 + m * complex(beta) / 2.0) ** 2
-
-
-def _min_sq0(m, beta, gamma=None):
-    u = beta * m
-    return 1.0 + u**2 / 8.0 + u / SQRT2
-
-
-def _min_sq1(m, beta, gamma=None):
-    u = beta * m
-    return 1.0 + u**2 / 16.0 + u / 2.0
-
-
-def _min_sq2(m, beta, gamma=None):
-    u = beta * m
-    return 1.0 + u**2 / 32.0 + u / (2.0 * SQRT2)
-
-
-def _min_sqrat(m, beta, gamma):
-    den = (beta * SQRT2 + gamma) ** 2
-    return (
-        1.0
-        + beta**2 * m**2 / (4.0 * den**2)
-        + gamma**2 * m**2 / (8.0 * den**2)
-        + beta * gamma * m**2 / (2.0 * SQRT2 * den**2)
-        + beta * m / den
-        + gamma * m / (SQRT2 * den)
-    )
-
-
-def _min_one0(m, beta, gamma=None):
-    u = beta * m
-    return u**4 / 64.0 + u**3 / (4.0 * SQRT2) + u**2 / 2.0
-
-
-def _min_one1(m, beta, gamma=None):
-    u = beta * m
-    return u**4 / 256.0 + u**2 / 4.0 + u**3 / 16.0
-
-
-def _min_one2(m, beta, gamma=None):
-    u = beta * m
-    return u**4 / 1024.0 + u**2 / 8.0 + u**3 / (32.0 * SQRT2)
-
-
-def _min_ex1(m, beta=None, gamma=None):
-    return m**2 / 8.0
-
-
-def _min_ex2(m, beta=None, gamma=None):
-    return m / 4.0
-
-
-def _min_ex3(m, beta=None, gamma=None):
-    return m**2 / 32.0
-
-
-def _min_moebius(m, beta, gamma=None):
-    v = 1.0 + beta * m / 2.0
-    return 4.0 * v**2 / (v + 2.0) ** 2
-
-
-def _min_second_sum(m, beta=None, gamma=None):
-    return 3.0 * m**2 / (8.0 * SQRT2)
-
-
-def _min_second_sqsum(m, beta=None, gamma=None):
-    return 1.0 + 3.0 * m**2 / (8.0 * SQRT2)
-
-
-def _min_second_weighted(m, beta, gamma):
-    return (4.0 * m * (gamma - beta) + 3.0 * beta * m**2) / (8.0 * SQRT2)
-
-
 # ---------------------------------------------------------------------------
 # lemma table
 
@@ -539,8 +436,7 @@ class LemmaSpec:
     region: geometry.Region
     form_factory: Callable[..., PsiForm]
     objective: str  # 'lem-sq' | 'disk1-sq' | 'moebius-sq' | 're' | 't-dist'
-    closed_g: Optional[Callable]
-    min_g: Optional[Callable]
+    closed_g: Callable
     condition: str
     unconditional: bool
     threshold_closed: Optional[float] = None
@@ -580,72 +476,68 @@ def _add(spec: LemmaSpec) -> None:
 
 
 _add(LemmaSpec("first0", "a + B*b", "beta", 1, DELTA,
-               lambda b: FirstOrderPlus(0, b), "lem-sq", _g_first0, _min_first0,
+               lambda b: FirstOrderPlus(0, b), "lem-sq", _g_first0,
                "any B > 0", True, default_beta=1.0))
 _add(LemmaSpec("first1", "a + B*b/a", "beta", 1, DELTA,
-               lambda b: FirstOrderPlus(1, b), "lem-sq", _g_first1, _min_first1,
+               lambda b: FirstOrderPlus(1, b), "lem-sq", _g_first1,
                "any B > 0", True, default_beta=1.0))
 _add(LemmaSpec("first2", "a + B*b/a^2", "beta", 1, DELTA,
-               lambda b: FirstOrderPlus(2, b), "lem-sq", _g_first2, _min_first2,
+               lambda b: FirstOrderPlus(2, b), "lem-sq", _g_first2,
                "any B > 0", True, default_beta=1.0))
 _add(LemmaSpec("first3", "a + B*b/a^3", "beta", 1, DELTA,
-               lambda b: FirstOrderPlus(3, b), "lem-sq", _g_first3, _min_first3,
+               lambda b: FirstOrderPlus(3, b), "lem-sq", _g_first3,
                "B > 1.1874", False, threshold_ref=1.1874, default_beta=1.25))
 _add(LemmaSpec("first4", "a + B*b/a^4", "beta", 1, DELTA,
-               lambda b: FirstOrderPlus(4, b), "lem-sq", _g_first4, _min_first4,
+               lambda b: FirstOrderPlus(4, b), "lem-sq", _g_first4,
                "B > 3.58095", False, threshold_ref=3.58095, default_beta=3.7))
 _add(LemmaSpec("sq-1", "a^2 + B*a*b", "beta-complex", 1, _ONE_DISK,
-               lambda b: SquarePlus(-1, b), "disk1-sq", _g_sq_minus1, _min_sq_minus1,
+               lambda b: SquarePlus(-1, b), "disk1-sq", _g_sq_minus1,
                "any Re B > 0", True, default_beta=1.0))
 _add(LemmaSpec("sq0", "a^2 + B*b", "beta", 1, _ONE_DISK,
-               lambda b: SquarePlus(0, b), "disk1-sq", _g_sq0, _min_sq0,
+               lambda b: SquarePlus(0, b), "disk1-sq", _g_sq0,
                "any B > 0", True, default_beta=1.0))
 _add(LemmaSpec("sq1", "a^2 + B*b/a", "beta", 1, _ONE_DISK,
-               lambda b: SquarePlus(1, b), "disk1-sq", _g_sq1, _min_sq1,
+               lambda b: SquarePlus(1, b), "disk1-sq", _g_sq1,
                "any B > 0", True, default_beta=1.0))
 _add(LemmaSpec("sq2", "a^2 + B*b/a^2", "beta", 1, _ONE_DISK,
-               lambda b: SquarePlus(2, b), "disk1-sq", _g_sq2, _min_sq2,
+               lambda b: SquarePlus(2, b), "disk1-sq", _g_sq2,
                "B > 2*sqrt(2)", False, threshold_closed=2.0 * SQRT2,
                threshold_ref=2.0 * SQRT2, default_beta=3.0))
 _add(LemmaSpec("sqrat", "a^2 + b/(B*a + G)", "beta-gamma", 1, _ONE_DISK,
-               lambda b, g: SquareRational(b, g), "disk1-sq", _g_sqrat, _min_sqrat,
+               lambda b, g: SquareRational(b, g), "disk1-sq", _g_sqrat,
                "any B, G > 0", True, default_beta=1.0, default_gamma=1.0))
 _add(LemmaSpec("one0", "1 + B*b", "beta", 1, DELTA,
-               lambda b: OnePlus(0, b), "lem-sq", _g_one0, _min_one0,
+               lambda b: OnePlus(0, b), "lem-sq", _g_one0,
                "B >= 4 - 2*sqrt(2)", False, threshold_closed=4.0 - 2.0 * SQRT2,
                threshold_ref=4.0 - 2.0 * SQRT2, default_beta=1.2))
 _add(LemmaSpec("one1", "1 + B*b/a", "beta", 1, DELTA,
-               lambda b: OnePlus(1, b), "lem-sq", _g_one1, _min_one1,
+               lambda b: OnePlus(1, b), "lem-sq", _g_one1,
                "B >= 4*sqrt(2) - 4", False, threshold_closed=4.0 * SQRT2 - 4.0,
                threshold_ref=4.0 * SQRT2 - 4.0, default_beta=1.7))
 _add(LemmaSpec("one2", "1 + B*b/a^2", "beta", 1, DELTA,
-               lambda b: OnePlus(2, b), "lem-sq", _g_one2, _min_one2,
+               lambda b: OnePlus(2, b), "lem-sq", _g_one2,
                "B >= 8 - 4*sqrt(2)", False, threshold_closed=8.0 - 4.0 * SQRT2,
                threshold_ref=8.0 - 4.0 * SQRT2, default_beta=2.4))
 _add(LemmaSpec("ex1", "1 + b", "none", 1, Disk(1.0 + 0.0j, 1.0 / (2.0 * SQRT2)),
-               lambda: OnePlus(0, 1.0), "disk1-sq", _g_ex1, _min_ex1,
-               "always", True))
+               lambda: OnePlus(0, 1.0), "disk1-sq", _g_ex1, "always", True))
 _add(LemmaSpec("ex2", "b/a", "none", 1, HalfPlaneReLess(0.25),
-               DerivOverP, "re", _g_ex2, _min_ex2, "always", True))
+               DerivOverP, "re", _g_ex2, "always", True))
 _add(LemmaSpec("ex3", "1 + b/a^2", "none", 1, Disk(1.0 + 0.0j, 1.0 / (4.0 * SQRT2)),
-               lambda: OnePlus(2, 1.0), "disk1-sq", _g_ex3, _min_ex3,
-               "always", True))
+               lambda: OnePlus(2, 1.0), "disk1-sq", _g_ex3, "always", True))
 _add(LemmaSpec("moebius", "a^2 + B*a*b", "beta", 1, MoebiusDisk(),
-               lambda b: SquarePlus(-1, b), "moebius-sq", _g_moebius, _min_moebius,
+               lambda b: SquarePlus(-1, b), "moebius-sq", _g_moebius,
                "B >= 2", False, threshold_closed=2.0, threshold_ref=2.0,
                default_beta=2.0))
 _add(LemmaSpec("second-sum", "b + c", "none", 1, Disk(0.0 + 0.0j, 3.0 / (8.0 * SQRT2)),
-               SecondOrderSum, "t-dist", _g_second_sum, _min_second_sum,
-               "always", True))
+               SecondOrderSum, "t-dist", _g_second_sum, "always", True))
 _add(LemmaSpec("second-sqsum", "a^2 + b + c", "none", 2,
                Disk(1.0 + 0.0j, 1.0 + 3.0 / (2.0 * SQRT2)),
-               SecondOrderSquareSum, "t-dist", _g_second_sqsum, _min_second_sqsum,
+               SecondOrderSquareSum, "t-dist", _g_second_sqsum,
                "always (m >= 2)", True))
 _add(LemmaSpec("second-weighted", "G*b + B*c", "beta-gamma", 1,
                Disk(0.0 + 0.0j, 1.0 / (8.0 * SQRT2)),
                lambda b, g: SecondOrderWeighted(gamma=g, beta=b), "t-dist",
-               _g_second_weighted, _min_second_weighted,
-               "G >= B > 0 and 4G - B >= 1", False,
+               _g_second_weighted, "G >= B > 0 and 4G - B >= 1", False,
                default_beta=0.25, default_gamma=0.5))
 
 
@@ -658,18 +550,7 @@ def get_lemma(lemma_id: str) -> LemmaSpec:
 
 def closed_form_g(lemma_id: str, theta, m, beta=None, gamma=None):
     """The catalogued objective g(theta) for the lemma, evaluated verbatim."""
-    lemma = get_lemma(lemma_id)
-    if lemma.closed_g is None:
-        raise UnknownLemmaError(f"{lemma_id} has no catalogued closed form")
-    return lemma.closed_g(theta, m, beta, gamma)
-
-
-def min_g_formula(lemma_id: str, m, beta=None, gamma=None):
-    """The lemma's center-line (theta = 0) objective value, as an independent display."""
-    lemma = get_lemma(lemma_id)
-    if lemma.min_g is None:
-        raise UnknownLemmaError(f"{lemma_id} has no catalogued center-line formula")
-    return lemma.min_g(m, beta, gamma)
+    return get_lemma(lemma_id).closed_g(theta, m, beta, gamma)
 
 
 def direct_objective(lemma_id: str, theta, m, beta=None, gamma=None):

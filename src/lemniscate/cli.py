@@ -137,6 +137,10 @@ def _cmd_threshold(ns) -> int:
 
 
 def _cmd_verify(ns) -> int:
+    if ns.random is not None and ns.random < 1:
+        raise ParameterError("--random must be at least 1")
+    if ns.order < 1:
+        raise ParameterError("--order must be at least 1")
     lemma = get_lemma(ns.lemma)
     beta, gamma = _resolve_params(lemma, ns)
     lemma.make_form(beta, gamma)  # reject bad coefficients before drawing any p
@@ -359,7 +363,7 @@ def main(argv=None) -> int:
     except (BracketError, MonotonicityError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
-    except (UnknownLemmaError, ParameterError, ValueError) as exc:
+    except (UnknownLemmaError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

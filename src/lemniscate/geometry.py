@@ -32,6 +32,12 @@ class PoleError(ValueError):
     """Evaluation requested at a pole of the defining map (e.g. w = -1)."""
 
 
+def check_theta(theta) -> None:
+    """Raise DomainError unless every |theta| < pi/4, the open arc of the loop."""
+    if np.any(np.abs(np.asarray(theta, dtype=np.float64)) >= QUARTER_PI):
+        raise DomainError("theta must satisfy |theta| < pi/4")
+
+
 def lemniscate_boundary(theta):
     """Boundary point sqrt(2 cos 2*theta) e^{i*theta} of the right loop.
 
@@ -39,8 +45,7 @@ def lemniscate_boundary(theta):
     node as theta -> +-pi/4).
     """
     th = np.asarray(theta, dtype=np.float64)
-    if np.any(np.abs(th) >= QUARTER_PI):
-        raise DomainError("theta must satisfy |theta| < pi/4")
+    check_theta(th)
     w = np.sqrt(2.0 * np.cos(2.0 * th)) * np.exp(1j * th)
     return complex(w) if np.isscalar(theta) else w
 

@@ -27,19 +27,22 @@ from .geometry import DELTA, Region
 from .series import NormalizationError, TruncatedSeries
 
 
+# samples on the probe circle; the hypothesis series' working order starts at
+# START_ORDER and doubles up to MAX_ORDER until its tail on the circle is
+# below TAIL_TOL
+ANGULAR_POINTS = 4096
+TAIL_TOL = 1e-8
+START_ORDER = 64
+MAX_ORDER = 2048
+
+
 @dataclass(frozen=True)
 class ProbeSpec:
     radius: float = 0.999
-    angular_points: int = 4096
-    tail_tol: float = 1e-8
-    start_order: int = 64
-    max_order: int = 2048
 
     def __post_init__(self):
         if not 0.0 < self.radius < 1.0:  # also rejects NaN
             raise ValueError("the probe radius must lie in (0, 1)")
-        if self.angular_points < 8:
-            raise ValueError("need at least 8 angular points")
 
 
 @dataclass(frozen=True)
@@ -83,7 +86,7 @@ def image_in_region(p, region: Region, spec: ProbeSpec = ProbeSpec()) -> ImagePr
     target that holds where p != -1; -1 lies outside |w - 5/3| < 4/3, so a
     circle image inside that disk cannot wind around it.
     """
-    rho, k = spec.radius, spec.angular_points
+    rho, k = spec.radius, ANGULAR_POINTS
     if isinstance(p, TruncatedSeries):
         at_zero = complex(p.coeffs[0])
         w = p.values_on_circle(rho, k)
@@ -119,24 +122,27 @@ def verify_implication(lemma_id: str, p: TruncatedSeries, beta=None, gamma=None,
 
     Statuses: 'confirmed' (both hold), 'vacuous' (hypothesis fails, including
     a p outside the lemma's coefficient class), 'COUNTEREXAMPLE' (hypothesis
-    holds, conclusion fails).  p is treated as an exact polynomial; the
-    internal working order is doubled until the tail of the hypothesis series
-    at the probe radius drops below the probe tolerance.
+    holds, conclusion fails).  p is treated as an exact polynomial with finite
+    coefficients (else NormalizationError); the internal working order is
+    doubled until the tail of the hypothesis series at the probe radius drops
+    below TAIL_TOL.
     """
     lemma = get_lemma(lemma_id)
+    if not np.all(np.isfinite(p.coeffs)):
+        raise NormalizationError("the coefficients of p must be finite")
     if abs(complex(p.coeffs[0]) - 1.0) > 1e-9:
         raise NormalizationError("p(0) must equal 1")
     low = p.coeffs[1:lemma.n_class]
     class_ok = bool(low.size == 0 or np.max(np.abs(low)) <= 1e-13)
 
-    work = max(spec.start_order, p.order)
+    work = max(START_ORDER, p.order)
     while True:
         hyp = hypothesis_series(lemma, p.pad_to(work), beta, gamma)
         tail = hyp.tail_estimate(spec.radius)
-        if tail <= spec.tail_tol or work >= spec.max_order:
+        if tail <= TAIL_TOL or work >= MAX_ORDER:
             break
-        work = min(2 * work, spec.max_order)
-    tail_ok = tail <= spec.tail_tol
+        work = min(2 * work, MAX_ORDER)
+    tail_ok = tail <= TAIL_TOL
 
     hyp_probe = image_in_region(hyp, lemma.region, spec)
     concl_probe = image_in_region(p, DELTA, spec)

@@ -4,8 +4,8 @@ import numpy as np
 import pytest
 
 from lemniscate.admissibility import (ConfigurationError, GridSpec,
-                                      check_admissible, m_tail_ok, min_over_t,
-                                      scan_profile)
+                                      _margin_grid, check_admissible,
+                                      min_over_t, scan_profile)
 from lemniscate.boundary import make_triple
 from lemniscate.catalog import (LEMMAS, SecondOrderSum, SecondOrderWeighted,
                                 closed_form_g, evaluate, get_lemma)
@@ -177,13 +177,15 @@ class TestScanProfile:
 
 
 class TestGridHygiene:
-    def test_m_tail_guard(self):
-        # every catalogued objective with a dominant m power grows past m_max/2
+    def test_m_cutoff_hides_no_violations(self):
+        # margins for m in [m_max, 1e3] never undercut the scanned minimum
+        theta = FAST.theta_grid()
+        far_m = np.geomspace(FAST.m_max, 1e3, 200)
         for lemma_id, lemma in LEMMAS.items():
-            if lemma_id == "moebius":
-                continue  # bounded ratio objective: no leading m power
             form = lemma.make_form(lemma.default_beta, lemma.default_gamma)
-            assert m_tail_ok(form, lemma.region, FAST), lemma_id
+            verdict = check_admissible(form, lemma.region, FAST, n_class=lemma.n_class)
+            far = _margin_grid(form, lemma.region, theta, far_m)
+            assert far.min() >= verdict.min_objective_seen - 1e-12, lemma_id
 
     def test_refinement_stability(self):
         for lemma_id, beta, gamma in [("first3", 1.5, None), ("one0", 1.3, None),

@@ -5,12 +5,11 @@ from lemniscate.boundary import make_triple
 from lemniscate.catalog import (LEMMAS, ArityError, FirstOrderPlus, OnePlus,
                                 ParameterError, SecondOrderSum, SquarePlus,
                                 UnknownLemmaError, closed_form_g,
-                                direct_objective, evaluate, get_lemma,
-                                min_g_formula)
+                                direct_objective, evaluate, get_lemma)
 
 SQRT2 = np.sqrt(2.0)
 
-WITH_CLOSED_FORM = sorted(k for k, v in LEMMAS.items() if v.closed_g is not None)
+WITH_CLOSED_FORM = sorted(LEMMAS)
 
 
 def draw_params(lemma, rng):
@@ -66,31 +65,20 @@ class TestClosedFormExamples:
 
 
 class TestMinGExamples:
+    """Center-line (theta = 0) values of the closed forms, frozen from direct arithmetic."""
+
     def test_first3(self):
-        # 1 + 2/sqrt(2) + 20/32 + 8/(64 sqrt 2) + 16/4096, frozen from direct arithmetic
+        # 1 + 2/sqrt(2) + 20/32 + 8/(64 sqrt 2) + 16/4096
         expected = 1 + 2 / SQRT2 + 0.625 + 8 / (64 * SQRT2) + 16 / 4096
         assert expected == pytest.approx(3.1315081600214131)
-        assert min_g_formula("first3", 1.0, beta=2.0) == pytest.approx(expected, rel=1e-14)
+        assert closed_form_g("first3", 0.0, 1.0, beta=2.0) == pytest.approx(expected, rel=1e-14)
 
     def test_first4_all_beta_terms_vanish(self):
-        assert min_g_formula("first4", 1.0, beta=0.0) == pytest.approx(1.0)
+        assert closed_form_g("first4", 0.0, 1.0, beta=0.0) == pytest.approx(1.0)
 
     def test_sq2(self):
         # 1 + 8/32 + 2 sqrt2/(2 sqrt2)
-        assert min_g_formula("sq2", 1.0, beta=2 * SQRT2) == pytest.approx(2.25)
-
-    def test_matches_closed_form_at_center(self):
-        rng = np.random.default_rng(31)
-        for lemma_id in WITH_CLOSED_FORM:
-            lemma = LEMMAS[lemma_id]
-            if lemma.min_g is None:
-                continue
-            for _ in range(25):
-                beta, gamma = draw_params(lemma, rng)
-                m = rng.uniform(1.0, 8.0)
-                a = min_g_formula(lemma_id, m, beta, gamma)
-                b = closed_form_g(lemma_id, 0.0, m, beta, gamma)
-                assert abs(a - b) <= 1e-12 * max(1.0, abs(a))
+        assert closed_form_g("sq2", 0.0, 1.0, beta=2 * SQRT2) == pytest.approx(2.25)
 
 
 class TestOracleEquivalence:
@@ -110,6 +98,17 @@ class TestOracleEquivalence:
             err = np.max(np.abs(direct - closed) / np.maximum(1.0, np.abs(closed)))
             worst = max(worst, float(err))
         assert worst < 1e-9, f"{lemma_id}: worst rel err {worst:.3e}"
+
+    def test_direct_vs_closed_on_center_line(self):
+        rng = np.random.default_rng(31)
+        for lemma_id in WITH_CLOSED_FORM:
+            lemma = LEMMAS[lemma_id]
+            for _ in range(25):
+                beta, gamma = draw_params(lemma, rng)
+                m = rng.uniform(1.0, 8.0)
+                a = direct_objective(lemma_id, 0.0, m, beta, gamma)
+                b = closed_form_g(lemma_id, 0.0, m, beta, gamma)
+                assert abs(a - b) <= 1e-12 * max(1.0, abs(b)), lemma_id
 
     @pytest.mark.parametrize("lemma_id", WITH_CLOSED_FORM)
     def test_even_in_theta(self, lemma_id):

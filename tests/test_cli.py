@@ -224,6 +224,35 @@ class TestVerify:
         assert code == 0
         assert json.loads(out)["reports"][0]["status"] == "confirmed"
 
+    @pytest.mark.parametrize("argv, flag", [
+        (["--random", "0"], "--random"),
+        (["--random", "-3"], "--random"),
+        (["--random", "2", "--order", "0"], "--order"),
+        (["--random", "2", "--order", "-2"], "--order"),
+    ])
+    def test_random_and_order_below_one_are_usage_errors(self, capsys, argv, flag):
+        # a run that tested no p must not read as success
+        code, out, err = run(capsys, "verify", "--lemma", "first0", *argv)
+        assert code == 1
+        assert out == ""
+        assert flag in err
+
+    @pytest.mark.parametrize("bad", ["NaN", "Infinity"])
+    def test_non_finite_p_is_usage_error(self, capsys, tmp_path, bad):
+        path = tmp_path / "p.json"
+        path.write_text(f"[[1, 0], [{bad}, 0]]")
+        code, out, err = run(capsys, "verify", "--lemma", "first0", "--p-json", str(path))
+        assert code == 1
+        assert out == ""
+        assert "finite" in err
+
+    def test_missing_p_file_is_usage_error(self, capsys, tmp_path):
+        code, out, err = run(capsys, "verify", "--lemma", "first0",
+                             "--p-json", str(tmp_path / "missing.json"))
+        assert code == 1
+        assert out == ""
+        assert err.startswith("error:") and "missing.json" in err
+
 
 class TestTable:
     def test_all_rows_ok(self, capsys):
@@ -302,3 +331,11 @@ def test_output_file(tmp_path, capsys):
     capsys.readouterr()
     assert code == 0
     assert json.loads(target.read_text())["lemma"] == "ex1"
+
+
+def test_unwritable_output_is_usage_error(tmp_path, capsys):
+    target = tmp_path / "no" / "such" / "x.csv"
+    code, out, err = run(capsys, "boundary", "--points", "3", "--output", str(target))
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error:") and "x.csv" in err

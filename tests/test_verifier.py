@@ -161,6 +161,15 @@ class TestVerifyImplication:
         with pytest.raises(NormalizationError):
             verify_implication("first0", TruncatedSeries.constant(2.0, 8), beta=1.0)
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, complex(0.0, -np.inf)])
+    def test_non_finite_coefficient_rejected(self, bad):
+        p = TruncatedSeries(np.array([1.0, bad, 0.125], dtype=complex))
+        with pytest.raises(NormalizationError, match="finite"):
+            verify_implication("first0", p, beta=1.0)
+        q = TruncatedSeries(np.array([bad, 0.125], dtype=complex))
+        with pytest.raises(NormalizationError, match="finite"):
+            verify_implication("first0", q, beta=1.0)
+
     def test_no_counterexamples_on_a_quick_sample(self):
         rng_seeds = range(40, 52)
         for seed in rng_seeds:
