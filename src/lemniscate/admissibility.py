@@ -9,9 +9,11 @@ and several of them touch the boundary exactly (at theta = 0, m = 1).
 
 The (theta, m) scan is embarrassingly parallel and purely functional; the
 verdict is a min-reduction, so results are bit-identical for a given grid
-regardless of evaluation order.  A short golden-section polish around the
-grid minimizer tightens the reported minimum and the violation witness; it
-can only lower the minimum, never raise it.
+regardless of evaluation order; a non-finite minimum is a ConfigurationError.
+A short golden-section polish around the grid minimizer (theta, then m, then
+theta) tightens the reported minimum and the violation witness; it can only
+lower the minimum, never raise it.  Each margin evaluation serves four of its
+steps, bit-identical to one point per step (see :func:`_golden_min`).
 """
 
 from __future__ import annotations
@@ -27,6 +29,8 @@ from .catalog import ArityError, PsiForm, second_order_min_distance
 from .geometry import Disk, Region
 
 _GOLDEN = (np.sqrt(5.0) - 1.0) / 2.0
+_GOLDEN_ITERS = 48  # steps of each golden-section search in the polish
+_BATCH_DEPTH = 4  # golden-section steps per evaluation of the margin
 
 
 @dataclass(frozen=True)
@@ -111,26 +115,44 @@ def _margin_grid(form: PsiForm, region: Region, theta: np.ndarray, m: np.ndarray
     return np.asarray(region.margin(psi))
 
 
-def _margin_at(form: PsiForm, region: Region, theta: float, m: float) -> float:
-    return float(_margin_grid(form, region, np.array([theta]), np.array([m]))[0, 0])
+def _golden_step(a, b, x1, x2, go_left):
+    """One golden-section step on [a, b]: the new bracket and the point it adds."""
+    if go_left:
+        b, x2 = x2, x1
+        x1 = b - _GOLDEN * (b - a)
+        return (a, b, x1, x2), x1
+    a, x1 = x1, x2
+    x2 = a + _GOLDEN * (b - a)
+    return (a, b, x1, x2), x2
 
 
-def _golden_min(f, lo: float, hi: float, iters: int = 48):
-    """Golden-section minimum of a scalar function on [lo, hi]."""
+def _golden_min(f, lo: float, hi: float):
+    """Golden-section minimum on [lo, hi] of f, a map from an array of abscissae to values.
+
+    Each call of f evaluates the 2**_BATCH_DEPTH - 1 points that the next
+    _BATCH_DEPTH steps could ask for (the first step's branch is known), and
+    the walk follows the branches the comparisons take.  Every point is the
+    one-point search's own expression and every comparison its ``f1 <= f2``
+    on the same values, so for an elementwise f the result is bit-identical.
+    """
     a, b = float(lo), float(hi)
     x1 = b - _GOLDEN * (b - a)
     x2 = a + _GOLDEN * (b - a)
-    f1, f2 = f(x1), f(x2)
-    for _ in range(iters):
-        if f1 <= f2:
-            b, x2, f2 = x2, x1, f1
-            x1 = b - _GOLDEN * (b - a)
-            f1 = f(x1)
-        else:
-            a, x1, f1 = x1, x2, f2
-            x2 = a + _GOLDEN * (b - a)
-            f2 = f(x2)
-    return (x1, f1) if f1 <= f2 else (x2, f2)
+    f1, f2 = f(np.array([x1, x2])).tolist()
+    bracket = (a, b, x1, x2)
+    for done in range(0, _GOLDEN_ITERS, _BATCH_DEPTH):
+        depth = min(_BATCH_DEPTH, _GOLDEN_ITERS - done)
+        # heap order: the children of node k are 2k+1 (left) and 2k+2 (right)
+        nodes = [_golden_step(*bracket, f1 <= f2)]
+        for k in range(2 ** (depth - 1) - 1):
+            nodes += [_golden_step(*nodes[k][0], True), _golden_step(*nodes[k][0], False)]
+        values = f(np.array([x for _, x in nodes])).tolist()
+        for step in range(depth):
+            go_left = f1 <= f2
+            k = 2 * k + (1 if go_left else 2) if step else 0
+            bracket = nodes[k][0]
+            f1, f2 = (values[k], f1) if go_left else (f2, values[k])
+    return (bracket[2], f1) if f1 <= f2 else (bracket[3], f2)
 
 
 def min_over_t(form: PsiForm, triple, region: Region) -> TMinimum:
@@ -157,11 +179,14 @@ def _polish(form, region, theta, m, i, j):
     th_star, m_star = float(theta[i]), float(m[j])
     lo_t = float(theta[max(i - 1, 0)])
     hi_t = float(theta[min(i + 1, len(theta) - 1)])
-    th_star, val = _golden_min(lambda x: _margin_at(form, region, x, m_star), lo_t, hi_t)
+    th_star, val = _golden_min(
+        lambda x: _margin_grid(form, region, x, np.array([m_star]))[:, 0], lo_t, hi_t)
     lo_m = float(m[max(j - 1, 0)])
     hi_m = float(m[min(j + 1, len(m) - 1)])
-    m_star, val = _golden_min(lambda x: _margin_at(form, region, th_star, x), lo_m, hi_m)
-    th_star, val = _golden_min(lambda x: _margin_at(form, region, x, m_star), lo_t, hi_t)
+    m_star, val = _golden_min(
+        lambda x: _margin_grid(form, region, np.array([th_star]), x)[0], lo_m, hi_m)
+    th_star, val = _golden_min(
+        lambda x: _margin_grid(form, region, x, np.array([m_star]))[:, 0], lo_t, hi_t)
     return th_star, m_star, val
 
 
@@ -179,8 +204,10 @@ def check_admissible(form: PsiForm, region: Region, grid: GridSpec = GridSpec(),
     margins = _margin_grid(form, region, theta, m)
     i, j = np.unravel_index(int(np.argmin(margins)), margins.shape)
     grid_min = float(margins[i, j])
+    if not np.isfinite(grid_min):  # argmin returns the first NaN, if any
+        raise ConfigurationError(f"the scan's minimum margin is {grid_min}, not finite")
     th_star, m_star, polished = _polish(form, region, theta, m, i, j)
-    if polished > grid_min:  # polish never worsens the bound
+    if not polished <= grid_min:  # polish never worsens the bound; a NaN polish falls back
         th_star, m_star, polished = float(theta[i]), float(m[j]), grid_min
     admissible = polished >= -grid.eps_adm
     witness = None

@@ -75,8 +75,8 @@ class ImplicationReport:
 def image_in_region(p, region: Region, spec: ProbeSpec = ProbeSpec()) -> ImageProbe:
     """Probe the image of the disk |z| <= spec.radius under p against the region.
 
-    p is a TruncatedSeries (treated as an exact polynomial) or any callable
-    accepting complex arrays.  p(0) must sit at the region's anchor value.
+    p is a TruncatedSeries (an exact polynomial with finite coefficients) or
+    any callable accepting complex arrays.  p(0) must sit at the region's anchor value.
 
     Only the circle |z| = rho is sampled; it decides the disk.  Each target
     is simply connected, so a circle image inside it winds around no outside
@@ -88,6 +88,8 @@ def image_in_region(p, region: Region, spec: ProbeSpec = ProbeSpec()) -> ImagePr
     """
     rho, k = spec.radius, ANGULAR_POINTS
     if isinstance(p, TruncatedSeries):
+        if not np.all(np.isfinite(p.coeffs)):
+            raise NormalizationError("the coefficients of p must be finite")
         at_zero = complex(p.coeffs[0])
         w = p.values_on_circle(rho, k)
     else:

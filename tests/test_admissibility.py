@@ -3,9 +3,11 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from lemniscate.admissibility import (ConfigurationError, GridSpec,
-                                      _margin_grid, check_admissible,
-                                      min_over_t, scan_profile)
+from lemniscate import admissibility
+from lemniscate.admissibility import (_GOLDEN, ConfigurationError, GridSpec,
+                                      _golden_min, _margin_grid,
+                                      check_admissible, min_over_t,
+                                      scan_profile)
 from lemniscate.boundary import make_triple
 from lemniscate.catalog import (LEMMAS, SecondOrderSum, SecondOrderWeighted,
                                 closed_form_g, evaluate, get_lemma)
@@ -85,6 +87,20 @@ class TestCheckAdmissible:
     def test_pairing_error(self):
         with pytest.raises(ConfigurationError):
             check_admissible(SecondOrderSum(), DELTA)
+
+    def test_non_finite_scan_is_no_verdict(self):
+        # beta = 1e300 overflows every margin to inf; no verdict may rest on that
+        with np.errstate(over="ignore", invalid="ignore"):
+            with pytest.raises(ConfigurationError, match="finite"):
+                check_lemma("first3", 1e300)
+
+    def test_nan_polish_falls_back_to_the_grid_point(self, monkeypatch):
+        lemma = get_lemma("first3")
+        grid_min = scan_profile(lemma.make_form(1.25), lemma.region, FAST).objective.min()
+        monkeypatch.setattr(admissibility, "_polish", lambda *args: (0.1, 2.0, np.nan))
+        verdict = check_lemma("first3", 1.25, grid=FAST)
+        assert verdict.admissible
+        assert verdict.min_objective_seen == grid_min
 
     def test_verdict_deterministic(self):
         a = check_lemma("first3", 1.25, grid=FAST)
@@ -200,14 +216,14 @@ class TestGridHygiene:
 
     def test_clamp_hides_no_violations(self):
         # objectives at half the clamp distance exceed the scanned minimum
-        from lemniscate.admissibility import _margin_at
         edge = np.pi / 4 - 5e-7
         for lemma_id in ("first0", "first3", "one0", "sq2", "sqrat",
                          "second-sum", "second-sqsum"):
             lemma = get_lemma(lemma_id)
             form = lemma.make_form(lemma.default_beta, lemma.default_gamma)
             verdict = check_admissible(form, lemma.region, FAST, n_class=lemma.n_class)
-            near = _margin_at(form, lemma.region, edge, float(lemma.n_class))
+            near = _margin_grid(form, lemma.region, np.array([edge]),
+                                np.array([float(lemma.n_class)]))[0, 0]
             assert near >= verdict.min_objective_seen - 1e-12, lemma_id
 
     def test_grid_validation(self):
@@ -237,3 +253,75 @@ class TestGridHygiene:
         with pytest.raises(ConfigurationError):
             check_lemma("second-sqsum", grid=grid)
         assert grid.m_grid(n_class=1)[0] == 1.0
+
+
+def golden_min_one_point(f, lo, hi, iters):
+    """Reference: the golden-section search one scalar evaluation at a time."""
+    a, b = float(lo), float(hi)
+    x1 = b - _GOLDEN * (b - a)
+    x2 = a + _GOLDEN * (b - a)
+    f1, f2 = f(x1), f(x2)
+    for _ in range(iters):
+        if f1 <= f2:
+            b, x2, f2 = x2, x1, f1
+            x1 = b - _GOLDEN * (b - a)
+            f1 = f(x1)
+        else:
+            a, x1, f1 = x1, x2, f2
+            x2 = a + _GOLDEN * (b - a)
+            f2 = f(x2)
+    return (x1, f1) if f1 <= f2 else (x2, f2)
+
+
+def one_point_search(f, lo, hi, iters=48):
+    """The reference search on an array function f, one scalar point per call."""
+    return golden_min_one_point(lambda x: float(f(np.array([x]))[0]), lo, hi, iters)
+
+
+SEARCH_CASES = {
+    "smooth": lambda x: (x - 0.37) ** 2 + 0.1 * np.sin(5.0 * x),
+    "constant": lambda x: np.full(np.shape(x), 0.25),  # every comparison ties
+    "nan on part": lambda x: np.where(x > 0.7, np.nan, (x - 0.3) ** 2),
+    "step": lambda x: np.where(x < 0.61, 1.0, 0.0),
+}
+
+# a coefficient (or grid) on the violating side for every lemma that can fail
+FAILING = [("first3", 0.2, None, GridSpec()), ("first4", 0.5, None, GridSpec()),
+           ("sq2", 0.3, None, GridSpec()), ("one0", 1.0, None, GridSpec()),
+           ("one1", 0.8, None, GridSpec()), ("one2", 1.0, None, GridSpec()),
+           ("moebius", 1.0, None, GridSpec()),
+           ("second-weighted", 1 / 6, 1 / 6, GridSpec()),
+           ("second-sqsum", None, None, GridSpec(m_min=1.0))]
+
+
+class TestBatchedPolish:
+    @pytest.mark.parametrize("iters", [7, 48, 49])
+    @pytest.mark.parametrize("name", sorted(SEARCH_CASES))
+    def test_same_steps_as_one_point_search(self, monkeypatch, name, iters):
+        f = SEARCH_CASES[name]
+        monkeypatch.setattr(admissibility, "_GOLDEN_ITERS", iters)
+        x, fx = _golden_min(f, 0.1, 1.3)
+        x_ref, f_ref = one_point_search(f, 0.1, 1.3, iters)
+        assert (float(x).hex(), fx.hex()) == (float(x_ref).hex(), f_ref.hex())
+
+    def test_same_verdicts_as_one_point_search(self, monkeypatch):
+        cases = [(lemma_id, lemma.default_beta, lemma.default_gamma, GridSpec())
+                 for lemma_id, lemma in LEMMAS.items()] + FAILING
+        batched = [check_lemma(*case) for case in cases]
+        monkeypatch.setattr(admissibility, "_golden_min", one_point_search)
+        reference = [check_lemma(*case) for case in cases]
+        assert [v.admissible for v in reference[len(LEMMAS):]] == [False] * len(FAILING)
+        for case, got, want in zip(cases, batched, reference):
+            assert repr(got) == repr(want), case
+
+    def test_one_scan_and_three_batched_searches(self, monkeypatch):
+        points = []
+
+        def counting(form, region, theta, m):
+            points.append(theta.size * m.size)
+            return _margin_grid(form, region, theta, m)
+
+        monkeypatch.setattr(admissibility, "_margin_grid", counting)
+        check_lemma("first3", 1.25)
+        # per search: the two opening points, then 12 batches of 4 steps
+        assert points == [2001 * 64] + 3 * ([2] + 12 * [15])

@@ -61,6 +61,14 @@ class TestCheck:
         assert out == ""
         assert "m_max" in err
 
+    def test_non_finite_scan_is_usage_error(self, capsys):
+        # every margin overflows to inf: no verdict, and no "Infinity" in the JSON
+        with np.errstate(over="ignore", invalid="ignore"):
+            code, out, err = run(capsys, "check", "--lemma", "first3", "--beta", "1e300")
+        assert code == 1
+        assert out == ""
+        assert "finite" in err
+
     @pytest.mark.parametrize("argv", [
         ["check", "--lemma", "one0", "--gamma", "5"],
         ["check", "--lemma", "ex1", "--beta-im", "2"],

@@ -52,6 +52,12 @@ class TestImageInRegion:
                 per_radius.append(image_in_region(p, DELTA, spec).max_margin)
             assert per_radius == sorted(per_radius)
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_series_rejected(self, bad):
+        # nan gave a definite max_margin = nan, inf raised numpy warnings in the FFT
+        with pytest.raises(NormalizationError, match="finite"):
+            image_in_region(TruncatedSeries(np.array([1.0, bad, 0.1], dtype=complex)), DELTA)
+
     @pytest.mark.parametrize("radius", [0.0, 1.0, -0.5, np.nan])
     def test_radius_outside_the_open_unit_interval_is_rejected(self, radius):
         with pytest.raises(ValueError, match="radius"):
