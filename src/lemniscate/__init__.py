@@ -15,8 +15,8 @@ __version__ = "0.1.0"
 
 from .admissibility import (GridSpec, Profile, Verdict, Witness,
                             check_admissible, min_over_t, scan_profile)
-from .boundary import (THETA_EPS, AdmissibleTriple, HalfPlane,
-                       curvature_identity, make_triple, t_halfplane)
+from .boundary import (THETA_EPS, AdmissibleTriple, curvature_identity,
+                       make_triple)
 from .catalog import (LEMMAS, ArityError, DerivOverP, FirstOrderPlus,
                       LemmaSpec, OnePlus, ParameterError, PsiForm,
                       SecondOrderSum, SecondOrderSquareSum,

@@ -1,4 +1,4 @@
-"""Grid-scan verdicts: does a functional avoid its target region on the boundary jet?
+"""One scan of the boundary jet, and the verdicts read from it.
 
 A functional is accepted when psi(r, s[, t]) stays outside the target region
 for every sampled (theta, m) — and, for second-order forms, for every t in
@@ -7,13 +7,15 @@ projection rather than sampling.  Points within ``eps_adm`` of the region
 boundary count as outside: the catalogued inequalities are non-strict there,
 and several of them touch the boundary exactly (at theta = 0, m = 1).
 
-The (theta, m) scan is embarrassingly parallel and purely functional; the
-verdict is a min-reduction, so results are bit-identical for a given grid
-regardless of evaluation order; a non-finite minimum is a ConfigurationError.
-A short golden-section polish around the grid minimizer (theta, then m, then
-theta) tightens the reported minimum and the violation witness; it can only
-lower the minimum, never raise it.  Each margin evaluation serves four of its
-steps, bit-identical to one point per step (see :func:`_golden_min`).
+:func:`scan_profile` is the only code that scans: it builds the grids, computes
+the margins and finds their minimum once, and a non-finite minimum is a
+ConfigurationError.  The scan is purely functional and its minimum a
+min-reduction, so results are bit-identical for a given grid.  The verdict and
+the bisection certificate (:func:`lemniscate.thresholds.certified_at`) are
+views of it.  The verdict adds a short golden-section polish around the grid
+minimizer (theta, then m, then theta) that tightens the reported minimum and
+the violation witness; it can only lower the minimum, never raise it.  Each
+margin evaluation serves four of its steps (see :func:`_golden_min`).
 """
 
 from __future__ import annotations
@@ -25,7 +27,7 @@ import numpy as np
 
 from .boundary import (THETA_EPS, ConfigurationError, check_theta_margin,
                        jet_arrays, make_triple, theta_grid)
-from .catalog import ArityError, PsiForm, second_order_min_distance
+from .catalog import ArityError, PsiForm, evaluate, second_order_min_distance
 from .geometry import Disk, Region
 
 _GOLDEN = (np.sqrt(5.0) - 1.0) / 2.0
@@ -35,7 +37,10 @@ _BATCH_DEPTH = 4  # golden-section steps per evaluation of the margin
 
 @dataclass(frozen=True)
 class GridSpec:
-    """Scan resolution.  ``m_min=None`` defers to the functional's class index."""
+    """Scan resolution.  ``m_min=None`` defers to the functional's class index.
+
+    An even ``theta_points`` becomes odd, putting theta = 0 on the grid.
+    """
 
     theta_points: int = 2001
     theta_margin: float = THETA_EPS
@@ -57,9 +62,10 @@ class GridSpec:
             raise ConfigurationError("m_min must be >= 1")
         if self.m_points < 2 or self.m_max <= (self.m_min or 1.0):
             raise ConfigurationError("need m_max > m_min and at least 2 m points")
+        object.__setattr__(self, "theta_points", self.theta_points | 1)
 
     def theta_grid(self) -> np.ndarray:
-        return theta_grid(self.theta_points | 1, self.theta_margin)  # odd: theta = 0 on grid
+        return theta_grid(self.theta_points, self.theta_margin)
 
     def m_grid(self, n_class: int = 1) -> np.ndarray:
         lo = self.m_min if self.m_min is not None else float(n_class)
@@ -94,10 +100,19 @@ class TMinimum:
 
 @dataclass(frozen=True)
 class Profile:
-    """Per-theta objective profile, minimized over m (and t where applicable)."""
+    """One scan: margins over the (theta x m) grid, minimized over t where applicable.
+
+    ``argmin`` is the (i, j) of the first least margin.
+    """
 
     theta: np.ndarray
-    objective: np.ndarray
+    m: np.ndarray
+    margins: np.ndarray
+    argmin: tuple
+
+    @property
+    def minimum(self) -> float:
+        return float(self.margins[self.argmin])
 
 
 def _require_pairing(form: PsiForm, region: Region) -> None:
@@ -190,6 +205,24 @@ def _polish(form, region, theta, m, i, j):
     return th_star, m_star, val
 
 
+def scan_profile(form: PsiForm, region: Region, grid: GridSpec = GridSpec(),
+                 n_class: int = 1, rows=slice(None)) -> Profile:
+    """Scan the boundary jet on the grid's theta ``rows`` and every m from ``n_class``.
+
+    A non-finite minimum raises ConfigurationError; ``argmin`` returns the
+    first NaN, so a NaN anywhere counts.
+    """
+    _require_pairing(form, region)
+    theta = grid.theta_grid()[rows]
+    m = grid.m_grid(n_class)
+    margins = _margin_grid(form, region, theta, m)
+    i, j = np.unravel_index(int(np.argmin(margins)), margins.shape)
+    prof = Profile(theta=theta, m=m, margins=margins, argmin=(int(i), int(j)))
+    if not np.isfinite(prof.minimum):
+        raise ConfigurationError(f"the scan's minimum margin is {prof.minimum}, not finite")
+    return prof
+
+
 def check_admissible(form: PsiForm, region: Region, grid: GridSpec = GridSpec(),
                      n_class: int = 1) -> Verdict:
     """Scan the boundary jet; accept iff psi never lands strictly inside the region.
@@ -198,41 +231,15 @@ def check_admissible(form: PsiForm, region: Region, grid: GridSpec = GridSpec(),
     re-confirmed independently through :func:`min_over_t` /
     :func:`lemniscate.catalog.evaluate`.
     """
-    _require_pairing(form, region)
-    theta = grid.theta_grid()
-    m = grid.m_grid(n_class)
-    margins = _margin_grid(form, region, theta, m)
-    i, j = np.unravel_index(int(np.argmin(margins)), margins.shape)
-    grid_min = float(margins[i, j])
-    if not np.isfinite(grid_min):  # argmin returns the first NaN, if any
-        raise ConfigurationError(f"the scan's minimum margin is {grid_min}, not finite")
-    th_star, m_star, polished = _polish(form, region, theta, m, i, j)
+    prof = scan_profile(form, region, grid, n_class)
+    (i, j), grid_min = prof.argmin, prof.minimum
+    th_star, m_star, polished = _polish(form, region, prof.theta, prof.m, i, j)
     if not polished <= grid_min:  # polish never worsens the bound; a NaN polish falls back
-        th_star, m_star, polished = float(theta[i]), float(m[j]), grid_min
+        th_star, m_star, polished = float(prof.theta[i]), float(prof.m[j]), grid_min
     admissible = polished >= -grid.eps_adm
     witness = None
     if not admissible:
         triple = make_triple(th_star, m_star)
-        if form.order == 2:
-            tm = min_over_t(form, triple, region)
-            psi = complex(form.value(triple.r, triple.s, tm.t_star))
-            witness = Witness(th_star, m_star, tm.t_star, psi, polished)
-        else:
-            psi = complex(form.value(triple.r, triple.s))
-            witness = Witness(th_star, m_star, None, psi, polished)
+        t = min_over_t(form, triple, region).t_star if form.order == 2 else None
+        witness = Witness(th_star, m_star, t, evaluate(form, triple, t), polished)
     return Verdict(admissible=admissible, witness=witness, min_objective_seen=polished)
-
-
-def scan_profile(form: PsiForm, region: Region, grid: GridSpec = GridSpec(),
-                 n_class: int = 1) -> Profile:
-    """Per-theta profile of the objective, minimized over m (and t, exactly).
-
-    Evidence gatherer for where the objective minimum sits; the claim behind
-    each tabulated constant is that it sits on the center line theta = 0.
-    """
-    _require_pairing(form, region)
-    theta = grid.theta_grid()
-    m = grid.m_grid(n_class)
-    margins = _margin_grid(form, region, theta, m)
-    return Profile(theta=theta, objective=margins.min(axis=1))
-

@@ -63,24 +63,14 @@ class AdmissibleTriple:
     r: complex
     s: complex
     tau_min: float
-    zeta: complex
-
-
-@dataclass(frozen=True)
-class HalfPlane:
-    """The constraint set {t : Re(t * conj(direction)) >= offset}."""
-
-    direction: complex
-    offset: float
 
 
 def make_triple(theta: float, m: float) -> AdmissibleTriple:
     """Assemble the admissibility data at (theta, m); m >= 1, |theta| < pi/4."""
     r, s, tau, _ = jet_arrays(np.array([float(theta)]), np.array([float(m)]))
-    zeta = 2.0 * np.cos(2.0 * theta) * np.exp(2j * theta) - 1.0
     return AdmissibleTriple(
         theta=float(theta), m=float(m), r=complex(r[0, 0]), s=complex(s[0, 0]),
-        tau_min=float(tau[0, 0]), zeta=complex(zeta),
+        tau_min=float(tau[0, 0]),
     )
 
 
@@ -90,11 +80,6 @@ def curvature_identity(theta: float) -> float:
     th = np.asarray(theta, dtype=np.float64)
     val = np.real(np.exp(-2j * th) / (4.0 * np.cos(2.0 * th)) + 0.5)
     return float(val) if np.isscalar(theta) else val
-
-
-def t_halfplane(triple: AdmissibleTriple) -> HalfPlane:
-    """Half-plane of admissible second-order values t at the triple's (theta, m)."""
-    return HalfPlane(direction=np.exp(3j * triple.theta), offset=triple.tau_min)
 
 
 # ---------------------------------------------------------------------------

@@ -16,10 +16,12 @@ exactly when every grid margin is at least ``max(-eps_adm, P(0) - tol)``, with
 P(0) the minimum of the center row.  A margin below that floor anywhere
 proves the certificate false.  Every uncertified step of the catalogued
 bisections has such a margin on the center line (the admissibility failures)
-or next to it (the off-center minima), so ``certified_at`` first evaluates
-the center row and its two neighbours and rejects from those three rows; only
-steps the band cannot reject pay for the full scan, which is held to the same
-floor.  The search varies beta alone: each thresholded lemma takes one
+or next to it (the off-center minima), so ``certified_at`` is two views of
+:func:`~lemniscate.admissibility.scan_profile`: a scan of the center row and
+its two neighbours, which rejects from those three rows, then, only for steps
+the band cannot reject, the full scan, held to the same floor.  Both share the
+scan's finiteness rule: a non-finite margin is a ConfigurationError, never a
+certificate.  The search varies beta alone: each thresholded lemma takes one
 coefficient.
 
 The verdict is boolean and the objective is not smooth where the minimizing
@@ -33,7 +35,7 @@ from typing import Optional
 
 import numpy as np
 
-from .admissibility import ConfigurationError, GridSpec, _margin_grid, scan_profile
+from .admissibility import ConfigurationError, GridSpec, scan_profile
 from .catalog import get_lemma
 
 DEFAULT_SEARCH = (0.05, 6.0)
@@ -66,19 +68,16 @@ def certified_at(lemma_id: str, beta: float, grid: GridSpec = GridSpec()) -> boo
     That is: every grid margin is at least ``max(-eps_adm, P(0) - tol)``, P(0)
     being the center row's minimum.  The center row and its two neighbours are
     rows of the full grid, so a margin below the floor there rejects exactly
-    as the full scan would; otherwise the full scan is held to the same floor
-    (a NaN margin never certifies).
+    as the full scan would; otherwise the full scan is held to the same floor.
+    A non-finite margin in either scan raises ConfigurationError.
     """
     lemma = get_lemma(lemma_id)
     form = lemma.make_form(beta)
-    theta = grid.theta_grid()
-    c = len(theta) // 2
-    band = _margin_grid(form, lemma.region, theta[c - 1:c + 2], grid.m_grid(lemma.n_class))
-    floor = max(-grid.eps_adm, band[1].min() - _CENTER_TOL)
-    if band.min() < floor:
-        return False
-    prof = scan_profile(form, lemma.region, grid, n_class=lemma.n_class)
-    return bool(prof.objective.min() >= floor)
+    c = grid.theta_points // 2
+    band = scan_profile(form, lemma.region, grid, lemma.n_class, rows=slice(c - 1, c + 2))
+    floor = max(-grid.eps_adm, band.margins[1].min() - _CENTER_TOL)
+    return bool(band.minimum >= floor
+                and scan_profile(form, lemma.region, grid, lemma.n_class).minimum >= floor)
 
 
 def find_beta_threshold(lemma_id: str, search=None, tol: float = DEFAULT_TOL,

@@ -96,7 +96,7 @@ class TestCheckAdmissible:
 
     def test_nan_polish_falls_back_to_the_grid_point(self, monkeypatch):
         lemma = get_lemma("first3")
-        grid_min = scan_profile(lemma.make_form(1.25), lemma.region, FAST).objective.min()
+        grid_min = scan_profile(lemma.make_form(1.25), lemma.region, FAST).minimum
         monkeypatch.setattr(admissibility, "_polish", lambda *args: (0.1, 2.0, np.nan))
         verdict = check_lemma("first3", 1.25, grid=FAST)
         assert verdict.admissible
@@ -158,11 +158,12 @@ class TestMinOverT:
 
 
 def _min_is_centered(prof, tol=1e-12):
-    return bool(prof.objective.min() >= prof.objective[len(prof.theta) // 2] - tol)
+    rows = prof.margins.min(axis=1)
+    return bool(rows.min() >= rows[len(prof.theta) // 2] - tol)
 
 
 def _argmin_theta(prof):
-    return float(prof.theta[int(np.argmin(prof.objective))])
+    return float(prof.theta[prof.argmin[0]])
 
 
 class TestScanProfile:
@@ -177,7 +178,7 @@ class TestScanProfile:
         prof = scan_profile(lemma.make_form(0.5), lemma.region, FAST)
         assert not _min_is_centered(prof)
         assert abs(_argmin_theta(prof)) > 0.01
-        assert prof.objective.min() > 0  # no violation: the bound is not sharp here
+        assert prof.minimum > 0  # no violation: the bound is not sharp here
 
     def test_sq2_centered_above_bound(self):
         lemma = get_lemma("sq2")
@@ -189,7 +190,25 @@ class TestScanProfile:
         prof = scan_profile(lemma.make_form(2.0), lemma.region, FAST)
         verdict = check_lemma("one1", 2.0, grid=FAST)
         # polish can only go at or below the grid profile minimum
-        assert verdict.min_objective_seen <= prof.objective.min() + 1e-15
+        assert verdict.min_objective_seen <= prof.minimum + 1e-15
+
+    def test_minimum_is_the_first_least_margin(self):
+        lemma = get_lemma("first3")
+        prof = scan_profile(lemma.make_form(0.5), lemma.region, FAST)
+        assert prof.margins.shape == (len(prof.theta), len(prof.m))
+        assert prof.minimum == prof.margins.min()
+        assert prof.argmin == np.unravel_index(np.argmin(prof.margins), prof.margins.shape)
+
+    def test_one_nan_margin_anywhere_is_no_scan(self, monkeypatch):
+        def one_nan(form, region, theta, m):
+            margins = _margin_grid(form, region, theta, m)
+            margins[-1, -1] = np.nan  # far from the minimum, which is finite
+            return margins
+
+        monkeypatch.setattr(admissibility, "_margin_grid", one_nan)
+        lemma = get_lemma("one1")
+        with pytest.raises(ConfigurationError, match="nan, not finite"):
+            scan_profile(lemma.make_form(2.0), lemma.region, FAST)
 
 
 class TestGridHygiene:
@@ -225,6 +244,13 @@ class TestGridHygiene:
             near = _margin_grid(form, lemma.region, np.array([edge]),
                                 np.array([float(lemma.n_class)]))[0, 0]
             assert near >= verdict.min_objective_seen - 1e-12, lemma_id
+
+    def test_even_theta_count_becomes_odd(self):
+        grid = GridSpec(theta_points=1000)
+        assert grid == GridSpec(theta_points=1001)
+        assert len(grid.theta_grid()) == grid.theta_points
+        assert grid.theta_grid()[grid.theta_points // 2] == 0.0
+        assert GridSpec().theta_points == 2001
 
     def test_grid_validation(self):
         with pytest.raises(ConfigurationError):

@@ -1,8 +1,7 @@
 import numpy as np
 import pytest
 
-from lemniscate.boundary import (AdmissibleTriple, curvature_identity,
-                                 make_triple, t_halfplane)
+from lemniscate.boundary import AdmissibleTriple, curvature_identity, make_triple
 from lemniscate.geometry import DomainError, lemniscate_boundary
 
 SQRT2 = np.sqrt(2.0)
@@ -27,12 +26,6 @@ class TestMakeTriple:
     def test_r_matches_boundary_parametrization(self):
         for theta in (-0.6, -0.1, 0.3, 0.72):
             assert make_triple(theta, 1.5).r == lemniscate_boundary(theta)
-
-    def test_zeta_on_unit_circle(self):
-        rng = np.random.default_rng(5)
-        for theta in rng.uniform(-np.pi / 4 + 1e-6, np.pi / 4 - 1e-6, 200):
-            t = make_triple(theta, 1.0)
-            assert abs(abs(t.zeta) - 1.0) < 1e-10
 
     @pytest.mark.parametrize("theta,m", [(np.pi / 4, 1.0), (0.0, 0.5), (0.9, 2.0)])
     def test_domain_errors(self, theta, m):
@@ -71,19 +64,17 @@ class TestCurvatureIdentity:
 
 
 class TestTHalfplane:
+    """The admissible t are {t : Re(t e^{-3i theta}) >= tau_min}."""
+
     def test_center_line(self):
-        hp = t_halfplane(make_triple(0.0, 1.0))
-        assert hp.direction == pytest.approx(1 + 0j)
-        assert hp.offset == pytest.approx(-1 / (8 * SQRT2))
+        assert make_triple(0.0, 1.0).tau_min == pytest.approx(-1 / (8 * SQRT2))
 
     def test_zero_offset_at_m_four_thirds(self):
-        hp = t_halfplane(make_triple(0.0, 4.0 / 3.0))
-        assert hp.offset == pytest.approx(0.0, abs=1e-15)
+        assert make_triple(0.0, 4.0 / 3.0).tau_min == pytest.approx(0.0, abs=1e-15)
 
     def test_generic_offset(self):
-        hp = t_halfplane(make_triple(0.2, 2.0))
-        assert hp.offset == pytest.approx(2 * 2 / (8 * np.sqrt(2 * np.cos(0.4))))
-        assert hp.direction == pytest.approx(np.exp(0.6j))
+        tau = make_triple(0.2, 2.0).tau_min
+        assert tau == pytest.approx(2 * 2 / (8 * np.sqrt(2 * np.cos(0.4))))
 
     def test_equivalent_to_ratio_form(self):
         # Re(t/s + 1) >= 3m/4  must be the same set as  Re(t e^{-3i theta}) >= tau_min
@@ -92,15 +83,15 @@ class TestTHalfplane:
             theta = rng.uniform(-np.pi / 4 + 1e-3, np.pi / 4 - 1e-3)
             m = rng.uniform(1.0, 6.0)
             triple = make_triple(theta, m)
-            hp = t_halfplane(triple)
-            scale = max(1.0, abs(hp.offset))
+            direction, offset = np.exp(3j * theta), triple.tau_min
+            scale = max(1.0, abs(offset))
             # sample t on both sides of the line, pushed off it by >= 1e-9*scale
             delta = np.concatenate([-(10.0 ** rng.uniform(-9, 2, 17)),
                                     10.0 ** rng.uniform(-9, 2, 17)]) * scale
             sigma = rng.uniform(-20, 20, delta.size)
-            t = (hp.offset + delta + 1j * sigma) * hp.direction
+            t = (offset + delta + 1j * sigma) * direction
             lhs = np.real(t / triple.s + 1.0) >= 0.75 * m
-            rhs = np.real(t * np.conj(hp.direction)) >= hp.offset
+            rhs = np.real(t * np.conj(direction)) >= offset
             assert np.array_equal(lhs, rhs)
 
     def test_s_has_positive_component_along_direction(self):

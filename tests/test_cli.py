@@ -119,6 +119,12 @@ class TestCheck:
         assert code == 0
         assert json.loads(out)["params"]["beta"] == [1.0, 2.0]
 
+    def test_even_theta_points_reports_the_count_scanned(self, capsys):
+        _, even, _ = run(capsys, "check", "--lemma", "one0", "--theta-points", "1000")
+        _, odd, _ = run(capsys, "check", "--lemma", "one0", "--theta-points", "1001")
+        assert json.loads(even)["grid"]["theta_points"] == 1001
+        assert even == odd
+
     GRID_FLAGS = {"theta_points": 1001, "theta_margin": 1e-4, "m_min": 1.5,
                   "m_max": 5.0, "m_points": 16, "eps_adm": 1e-7}
 
@@ -186,6 +192,22 @@ class TestThreshold:
         assert code == 1
         assert out == ""
         assert "lo < hi" in err
+
+    def test_non_finite_certificate_scan_is_usage_error(self, capsys):
+        # the pre-scan at beta ~ 1.4e299 overflows every margin to inf; inf >= inf
+        # must not certify a bound
+        with np.errstate(over="ignore", invalid="ignore"):
+            code, out, err = run(capsys, "threshold", "--lemma", "first3", "--hi", "1e300")
+        assert code == 1
+        assert out == ""
+        assert "inf, not finite" in err
+
+    def test_finite_minimum_beside_overflowed_margins_still_brackets(self, capsys):
+        with np.errstate(over="ignore", invalid="ignore"):
+            code, out, _ = run(capsys, "threshold", "--lemma", "first3", "--hi", "1e150",
+                               "--tol", "1e140")
+        assert code == 0
+        assert json.loads(out)["threshold"]["beta_low"] < 1.1874
 
     def test_sub_ulp_tol_returns_adjacent_floats(self):
         # a subprocess, so that a bisection that never stops fails on the timeout

@@ -1,7 +1,9 @@
 """CLI reports match the JSON captured in tests/golden/.
 
 The files hold the stdout of ``lemniscate check`` for every lemma at its
-default coefficients, of two checks that find a witness, and of
+default coefficients, of two checks that find a witness, of
+``lemniscate threshold`` for every thresholded lemma, of
+``lemniscate verify --random 20 --seed 7`` for every lemma, and of
 ``lemniscate table --format json``.  Keys, booleans, integers and text compare
 exactly.  Floats, and the numbers inside text (the table's ``computed``
 column prints margins such as ``-1.110e-16``), compare to 1e-12 relative with
@@ -22,10 +24,15 @@ from lemniscate.cli import main
 GOLDEN = Path(__file__).resolve().parent / "golden"
 NUMBER = re.compile(r"[-+]?(?:\d+\.?\d*|\.\d+)(?:[eE][-+]?\d+)?")
 
+THRESHOLDED = sorted(k for k, lemma in LEMMAS.items() if lemma.threshold_ref is not None)
+
 CASES = [(["check", "--lemma", lemma_id], 0) for lemma_id in sorted(LEMMAS)] + [
     (["check", "--lemma", "one0", "--beta", "1.0"], 2),
     (["check", "--lemma", "second-weighted", "--beta", "0.5", "--gamma", "0.1"], 2),
     (["table", "--format", "json"], 0),
+] + [(["threshold", "--lemma", lemma_id], 0) for lemma_id in THRESHOLDED] + [
+    (["verify", "--lemma", lemma_id, "--random", "20", "--seed", "7"], 0)
+    for lemma_id in sorted(LEMMAS)
 ]
 
 

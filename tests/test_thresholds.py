@@ -2,8 +2,7 @@ import numpy as np
 import pytest
 
 from lemniscate import thresholds
-from lemniscate.admissibility import (ConfigurationError, GridSpec, _margin_grid,
-                                      scan_profile)
+from lemniscate.admissibility import ConfigurationError, GridSpec, scan_profile
 from lemniscate.catalog import LEMMAS, get_lemma
 from lemniscate.thresholds import BracketError, certified_at, find_beta_threshold
 
@@ -76,6 +75,13 @@ class TestBracketErrors:
             find_beta_threshold("one0", search=(2.0, 1.0))
 
 
+def test_non_finite_scan_is_no_certificate():
+    # beta = 1e300 overflows every margin to inf; inf >= inf must not certify
+    with np.errstate(over="ignore", invalid="ignore"):
+        with pytest.raises(ConfigurationError, match="inf, not finite"):
+            certified_at("first3", 1e300)
+
+
 @pytest.fixture
 def step_certificate(monkeypatch):
     """A step at beta = 1.2345 stands in for the scan; the call cap turns a
@@ -121,7 +127,8 @@ def _full_scan_certified(lemma_id, beta, grid=GridSpec()):
     lemma = get_lemma(lemma_id)
     prof = scan_profile(lemma.make_form(beta), lemma.region, grid,
                         n_class=lemma.n_class)
-    lowest, center = prof.objective.min(), prof.objective[len(prof.theta) // 2]
+    rows = prof.margins.min(axis=1)
+    lowest, center = rows.min(), rows[len(prof.theta) // 2]
     return bool(lowest >= -grid.eps_adm and lowest >= center - 1e-12)
 
 
@@ -150,11 +157,11 @@ class TestCenterBandReject:
         lemma = get_lemma(lemma_id)
         form = lemma.make_form(beta)
         grid = GridSpec()
-        theta, m = grid.theta_grid(), grid.m_grid(lemma.n_class)
-        c = len(theta) // 2
-        band = _margin_grid(form, lemma.region, theta[c - 1:c + 2], m)
-        full = _margin_grid(form, lemma.region, theta, m)
-        assert np.array_equal(band, full[c - 1:c + 2])
+        c = grid.theta_points // 2
+        band = scan_profile(form, lemma.region, grid, lemma.n_class, rows=slice(c - 1, c + 2))
+        full = scan_profile(form, lemma.region, grid, lemma.n_class)
+        assert band.theta[1] == 0.0
+        assert np.array_equal(band.margins, full.margins[c - 1:c + 2])
 
     def test_shortcut_saves_full_scans_without_moving_the_bracket(self, monkeypatch):
         monkeypatch.setattr(thresholds, "certified_at", _full_scan_certified)
@@ -169,12 +176,13 @@ class TestCenterBandReject:
             return real_certified(*args, **kwargs)
 
         def counting_scan(*args, **kwargs):
-            scans.append(args)
-            return real_scan(*args, **kwargs)
+            prof = real_scan(*args, **kwargs)
+            scans.append(len(prof.theta))  # band scans pass through here too
+            return prof
 
         monkeypatch.setattr(thresholds, "certified_at", counting_certified)
         monkeypatch.setattr(thresholds, "scan_profile", counting_scan)
         result = find_beta_threshold("one1")
         assert result == reference
         assert len(certs) == 22
-        assert len(scans) < 22
+        assert scans.count(GridSpec().theta_points) < 22

@@ -1,0 +1,55 @@
+"""Every scan passes through the names the perfbench tracer wraps.
+
+``perfbench/spans.py`` patches library functions by ``owner.__dict__[attr]``
+from outside the package.  A renamed function would make ``--trace 1`` fail
+with KeyError, and a scan that bypassed ``scan_profile`` would go uncounted.
+"""
+
+import importlib.util
+from pathlib import Path
+
+from lemniscate import admissibility, thresholds
+from lemniscate.admissibility import GridSpec, check_admissible
+from lemniscate.catalog import get_lemma
+from lemniscate.thresholds import certified_at
+
+SPANS = Path(__file__).resolve().parents[1] / "perfbench" / "spans.py"
+
+
+def _spans_module():
+    spec = importlib.util.spec_from_file_location("perfbench_spans", SPANS)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_every_traced_name_is_defined_where_it_is_patched():
+    for owner, attr, _ in _spans_module()._targets():
+        assert attr in owner.__dict__, (owner.__name__, attr)
+
+
+def _count_scans(monkeypatch, module):
+    """Record the theta-row count of every scan made through ``module.scan_profile``."""
+    rows, real = [], module.scan_profile
+
+    def counting(*args, **kwargs):
+        prof = real(*args, **kwargs)
+        rows.append(len(prof.theta))
+        return prof
+
+    monkeypatch.setattr(module, "scan_profile", counting)
+    return rows
+
+
+def test_check_admissible_scans_through_scan_profile(monkeypatch):
+    rows = _count_scans(monkeypatch, admissibility)
+    lemma = get_lemma("first3")
+    check_admissible(lemma.make_form(0.2), lemma.region, n_class=lemma.n_class)
+    assert rows == [GridSpec().theta_points]
+
+
+def test_certified_at_scans_through_scan_profile(monkeypatch):
+    rows = _count_scans(monkeypatch, thresholds)
+    assert certified_at("one1", 2.0)  # the band passes, so the full scan decides
+    assert not certified_at("one1", 1.0)  # the band rejects
+    assert rows == [3, GridSpec().theta_points, 3]
