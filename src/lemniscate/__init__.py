@@ -4,8 +4,9 @@ Three layers:
 
 * boundary machinery -- regions, the boundary parametrization, and the jet
   data (r, s, tau_min) at each (theta, m);
-* admissibility -- grid-scan verdicts for the catalogued differential
-  functionals, exact t-minimization for second-order ones, and bisection
+* admissibility -- verdicts for the catalogued differential functionals
+  from a theta scan that minimizes each boundary ray over m >= n exactly,
+  exact t-minimization for second-order ones, and bisection
   recovery of every tabulated coefficient bound;
 * function-level verification -- truncated series arithmetic, the
   z f'(z)/f(z) transform, and subordination checks by image containment.

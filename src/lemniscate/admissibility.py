@@ -1,26 +1,37 @@
-"""One scan of the boundary jet, and the verdicts read from it.
+"""One scan of the boundary rays, and the verdicts read from it.
 
 A functional is accepted when psi(r, s[, t]) stays outside the target region
-for every sampled (theta, m) — and, for second-order forms, for every t in
-the constrained half-plane, which is handled exactly by point-to-half-plane
-projection rather than sampling.  Points within ``eps_adm`` of the region
-boundary count as outside: the catalogued inequalities are non-strict there,
-and several of them touch the boundary exactly (at theta = 0, m = 1).
+for every sampled theta and every m >= n — and, for second-order forms, for
+every t in the constrained half-plane, which is handled exactly by
+point-to-half-plane projection rather than sampling.  Points within
+``eps_adm`` of the region boundary count as outside: the catalogued
+inequalities are non-strict there, and several of them touch the boundary
+exactly (at theta = 0, m = 1).
 
-:func:`scan_profile` is the only code that scans: it builds the grids, computes
-the margins and finds their minimum once, and a non-finite minimum is a
-ConfigurationError.  The scan is purely functional and its minimum a
-min-reduction, so results are bit-identical for a given grid.  The verdict and
-the bisection certificate (:func:`lemniscate.thresholds.certified_at`) are
-views of it.  The verdict adds a short golden-section polish around the grid
-minimizer (theta, then m, then theta) that tightens the reported minimum and
-the violation witness; it can only lower the minimum, never raise it.  Each
-margin evaluation serves four of its steps (see :func:`_golden_min`).
+m is not sampled.  Every catalogued psi is affine in b = s = m sigma(theta),
+so at each theta the boundary image is the ray A(theta) + m C(theta) over
+m in [n, inf), and its least margin sits at m = n, at one of the few m its
+region names (``ray_extrema`` in :mod:`lemniscate.geometry`), or in a limit
+as m -> inf.  For second-order forms the t-projected distance is max(0, h(m))
+with h a quadratic of positive leading coefficient, whose vertex is the one
+other candidate.  The margins are evaluated at those m by the same code as
+any point (:func:`_margin_grid`), so the profile is 1-D over theta.
+
+:func:`scan_profile` is the only code that scans: it builds the theta grid,
+finds each row's least margin and their minimum once, and a non-finite
+minimum is a ConfigurationError.  The scan is purely functional and its
+minimum a min-reduction, so results are bit-identical for a given grid.  The
+verdict and the bisection certificate
+(:func:`lemniscate.thresholds.certified_at`) are views of it.  The verdict
+adds a short golden-section polish over theta around the profile minimizer
+that tightens the reported minimum and the violation witness; it can only
+lower the minimum, never raise it.  Each evaluation of the profile serves four
+of its steps (see :func:`_golden_min`).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
@@ -31,23 +42,19 @@ from .catalog import ArityError, PsiForm, evaluate, second_order_min_distance
 from .geometry import Disk, Region
 
 _GOLDEN = (np.sqrt(5.0) - 1.0) / 2.0
-_GOLDEN_ITERS = 48  # steps of each golden-section search in the polish
-_BATCH_DEPTH = 4  # golden-section steps per evaluation of the margin
+_GOLDEN_ITERS = 48  # steps of the golden-section search in the polish
+_BATCH_DEPTH = 4  # golden-section steps per evaluation of the profile
 
 
 @dataclass(frozen=True)
 class GridSpec:
-    """Scan resolution.  ``m_min=None`` defers to the functional's class index.
+    """Scan resolution over theta.
 
     An even ``theta_points`` becomes odd, putting theta = 0 on the grid.
     """
 
     theta_points: int = 2001
     theta_margin: float = THETA_EPS
-    m_min: Optional[float] = field(
-        default=None, metadata={"help": "lowest m (defaults to the lemma's class index)"})
-    m_max: float = 8.0
-    m_points: int = 64
     eps_adm: float = 1e-9
 
     def __post_init__(self):
@@ -56,22 +63,10 @@ class GridSpec:
         check_theta_margin(self.theta_margin)
         if not (np.isfinite(self.eps_adm) and self.eps_adm >= 0.0):
             raise ConfigurationError("eps_adm must be finite and >= 0")
-        if not np.isfinite(self.m_max) or not np.isfinite(self.m_min or 1.0):
-            raise ConfigurationError("m_min and m_max must be finite")
-        if self.m_min is not None and self.m_min < 1.0:
-            raise ConfigurationError("m_min must be >= 1")
-        if self.m_points < 2 or self.m_max <= (self.m_min or 1.0):
-            raise ConfigurationError("need m_max > m_min and at least 2 m points")
         object.__setattr__(self, "theta_points", self.theta_points | 1)
 
     def theta_grid(self) -> np.ndarray:
         return theta_grid(self.theta_points, self.theta_margin)
-
-    def m_grid(self, n_class: int = 1) -> np.ndarray:
-        lo = self.m_min if self.m_min is not None else float(n_class)
-        if self.m_max <= lo:
-            raise ConfigurationError(f"m_max = {self.m_max:g} must exceed the lowest m = {lo:g}")
-        return np.linspace(lo, self.m_max, self.m_points)
 
 
 @dataclass(frozen=True)
@@ -100,15 +95,16 @@ class TMinimum:
 
 @dataclass(frozen=True)
 class Profile:
-    """One scan: margins over the (theta x m) grid, minimized over t where applicable.
+    """One scan: each theta row's least margin over m >= n (minimized over t where
+    applicable) and the m attaining it (inf where the least value is a limit).
 
-    ``argmin`` is the (i, j) of the first least margin.
+    ``argmin`` is the row of the first least margin.
     """
 
     theta: np.ndarray
     m: np.ndarray
     margins: np.ndarray
-    argmin: tuple
+    argmin: int
 
     @property
     def minimum(self) -> float:
@@ -121,13 +117,59 @@ def _require_pairing(form: PsiForm, region: Region) -> None:
 
 
 def _margin_grid(form: PsiForm, region: Region, theta: np.ndarray, m: np.ndarray) -> np.ndarray:
-    """Region margins of psi over the (theta x m) grid; shape (K, M)."""
+    """Region margins of psi at every m of a 1-D ``m`` on each theta, shape (K, M),
+    or at a (K, c) ``m`` per theta row."""
     if form.order == 2:
         dist, _, _, _ = second_order_min_distance(form, region.center, theta, m)
         return dist - region.radius
     r, s, _, _ = jet_arrays(theta, m)
     psi = form.value(r, s)
     return np.asarray(region.margin(psi))
+
+
+def _ray(f, r, sigma):
+    """(A, C) with f(r, m sigma) = A + m C, for f affine in its second slot.
+
+    C is read off the step to T sigma, T a power of two raised per row until
+    |T C| >= |A|, so the difference does not cancel: a unit step leaves
+    f(r, sigma) == f(r, 0) for first4 at beta = 1e-30.
+    """
+    a = f(r, 0.0 * sigma)
+    t = np.ones(np.shape(a))
+    while True:
+        d = f(r, t * sigma) - a
+        short = (np.abs(d) < np.abs(a)) & (t < 2.0**1000)
+        if not short.any():
+            return a, d / t
+        # |d| is about t |C| unless the step was lost below an ulp of A entirely
+        step = np.where(d == 0.0, 50, np.frexp(np.abs(a))[1] - np.frexp(np.abs(d))[1] + 1)
+        t = np.where(short, np.ldexp(t, np.minimum(step, 1020 - np.frexp(t)[1])), t)
+
+
+def _ray_minimum(form: PsiForm, region: Region, theta: np.ndarray, n_class: int):
+    """Least margin along each theta's boundary ray over m >= n_class, and the m
+    attaining it (inf where the least value is the limit as m -> inf); shapes (K,)."""
+    n = float(n_class)
+    r, sigma, _, _ = jet_arrays(theta, np.ones(1))
+    r, sigma = r[:, 0], sigma[:, 0]
+    with np.errstate(all="ignore"):  # a candidate that is not finite becomes n below
+        if form.order == 2:
+            # base = B0 + m B1 makes the projected distance max(0, h(m)) with
+            # h = coef m(3m - 4)/(8 sqrt(2 cos 2 theta)) + m Re(B1 e^{-3i theta}) + const,
+            # whose vertex is 2/3 - (2/3) Re(B1/sigma)/coef
+            _, b1 = _ray(form.base, r, sigma)
+            extra = (2.0 / 3.0 * (1.0 - (b1 / sigma).real / float(form.t_coefficient)))[:, None]
+            tail = np.inf
+        else:
+            extra, tail = region.ray_extrema(*_ray(form.value, r, sigma))
+        m = np.where(np.isfinite(extra), np.maximum(n, extra), n)
+    m = np.concatenate([np.full((len(theta), 1), n), m], axis=1)
+    margins = np.concatenate([_margin_grid(form, region, theta, m),
+                              np.broadcast_to(tail, (len(theta),))[:, None]], axis=1)
+    m = np.concatenate([m, np.full((len(theta), 1), np.inf)], axis=1)
+    j = np.argmin(margins, axis=1)
+    rows = np.arange(len(theta))
+    return m[rows, j], margins[rows, j]
 
 
 def _golden_step(a, b, x1, x2, go_left):
@@ -189,35 +231,26 @@ def min_over_t(form: PsiForm, triple, region: Region) -> TMinimum:
     return TMinimum(t_star=complex(t_star), objective=kappa)
 
 
-def _polish(form, region, theta, m, i, j):
-    """Local golden-section refinement of the grid minimizer (theta, then m, then theta)."""
-    th_star, m_star = float(theta[i]), float(m[j])
-    lo_t = float(theta[max(i - 1, 0)])
-    hi_t = float(theta[min(i + 1, len(theta) - 1)])
-    th_star, val = _golden_min(
-        lambda x: _margin_grid(form, region, x, np.array([m_star]))[:, 0], lo_t, hi_t)
-    lo_m = float(m[max(j - 1, 0)])
-    hi_m = float(m[min(j + 1, len(m) - 1)])
-    m_star, val = _golden_min(
-        lambda x: _margin_grid(form, region, np.array([th_star]), x)[0], lo_m, hi_m)
-    th_star, val = _golden_min(
-        lambda x: _margin_grid(form, region, x, np.array([m_star]))[:, 0], lo_t, hi_t)
+def _polish(form, region, theta, i, n_class):
+    """Golden-section search over theta for the profile minimizer, between its grid neighbours."""
+    lo = float(theta[max(i - 1, 0)])
+    hi = float(theta[min(i + 1, len(theta) - 1)])
+    th_star, val = _golden_min(lambda x: _ray_minimum(form, region, x, n_class)[1], lo, hi)
+    m_star = float(_ray_minimum(form, region, np.array([th_star]), n_class)[0][0])
     return th_star, m_star, val
 
 
 def scan_profile(form: PsiForm, region: Region, grid: GridSpec = GridSpec(),
                  n_class: int = 1, rows=slice(None)) -> Profile:
-    """Scan the boundary jet on the grid's theta ``rows`` and every m from ``n_class``.
+    """Least margin over m >= ``n_class`` on the boundary ray of each theta in the grid's ``rows``.
 
     A non-finite minimum raises ConfigurationError; ``argmin`` returns the
     first NaN, so a NaN anywhere counts.
     """
     _require_pairing(form, region)
     theta = grid.theta_grid()[rows]
-    m = grid.m_grid(n_class)
-    margins = _margin_grid(form, region, theta, m)
-    i, j = np.unravel_index(int(np.argmin(margins)), margins.shape)
-    prof = Profile(theta=theta, m=m, margins=margins, argmin=(int(i), int(j)))
+    m, margins = _ray_minimum(form, region, theta, n_class)
+    prof = Profile(theta=theta, m=m, margins=margins, argmin=int(np.argmin(margins)))
     if not np.isfinite(prof.minimum):
         raise ConfigurationError(f"the scan's minimum margin is {prof.minimum}, not finite")
     return prof
@@ -232,10 +265,10 @@ def check_admissible(form: PsiForm, region: Region, grid: GridSpec = GridSpec(),
     :func:`lemniscate.catalog.evaluate`.
     """
     prof = scan_profile(form, region, grid, n_class)
-    (i, j), grid_min = prof.argmin, prof.minimum
-    th_star, m_star, polished = _polish(form, region, prof.theta, prof.m, i, j)
+    i, grid_min = prof.argmin, prof.minimum
+    th_star, m_star, polished = _polish(form, region, prof.theta, i, n_class)
     if not polished <= grid_min:  # polish never worsens the bound; a NaN polish falls back
-        th_star, m_star, polished = float(prof.theta[i]), float(prof.m[j]), grid_min
+        th_star, m_star, polished = float(prof.theta[i]), float(prof.m[i]), grid_min
     admissible = polished >= -grid.eps_adm
     witness = None
     if not admissible:

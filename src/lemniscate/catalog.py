@@ -234,7 +234,7 @@ def evaluate(form: PsiForm, triple, t: Optional[complex] = None) -> complex:
 
 
 def second_order_min_distance(form: PsiForm, center: complex, theta: np.ndarray, m: np.ndarray):
-    """Exact min over admissible t of |psi(r, s, t) - center| on a (theta x m) grid.
+    """Exact min over admissible t of |psi(r, s, t) - center| at (theta, m), m as in jet_arrays.
 
     psi is affine in t with a positive real coefficient, so the admissible
     image is a half-plane with inner normal e^{3i*theta} and the minimum is a

@@ -32,7 +32,7 @@ from .thresholds import (DEFAULT_SEARCH, DEFAULT_TOL, BracketError,
                          MonotonicityError, find_beta_threshold)
 from .verifier import ProbeSpec, random_normalized_p, verify_implication
 
-SCHEMA_VERSION = 1
+SCHEMA_VERSION = 2
 
 
 def _f17(x: float) -> str:
@@ -274,9 +274,7 @@ def _cmd_boundary(ns) -> int:
 
 def _add_grid_flags(p: argparse.ArgumentParser) -> None:
     for f in fields(GridSpec):
-        p.add_argument("--" + f.name.replace("_", "-"), default=f.default,
-                       type=float if f.default is None else type(f.default),
-                       help=f.metadata.get("help"))
+        p.add_argument("--" + f.name.replace("_", "-"), default=f.default, type=type(f.default))
 
 
 def _add_coefficient_flags(p: argparse.ArgumentParser) -> None:

@@ -11,12 +11,12 @@ raw admissibility alone would bracket a smaller, uncatalogued constant.  For
 the remaining lemmas the two conditions coincide and the certificate bracket
 equals the plain admissibility transition.
 
-Both conditions compare the same global grid minimum, so the certificate holds
-exactly when every grid margin is at least ``max(-eps_adm, P(0) - tol)``, with
-P(0) the minimum of the center row.  A margin below that floor anywhere
-proves the certificate false.  Every uncertified step of the catalogued
-bisections has such a margin on the center line (the admissibility failures)
-or next to it (the off-center minima), so ``certified_at`` is two views of
+Both conditions compare the same global profile minimum, so the certificate
+holds exactly when every theta row's least margin (over all m >= n) is at
+least ``max(-eps_adm, P(0) - tol)``, with P(0) that of the center row.  A row
+below that floor anywhere proves the certificate false.  Every uncertified
+step of the catalogued bisections has such a row on the center line (the
+admissibility failures) or next to it (the off-center minima), so ``certified_at`` is two views of
 :func:`~lemniscate.admissibility.scan_profile`: a scan of the center row and
 its two neighbours, which rejects from those three rows, then, only for steps
 the band cannot reject, the full scan, held to the same floor.  Both share the
@@ -30,6 +30,7 @@ theta switches branches, so bisection is used rather than gradient steps.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Optional
 
@@ -65,17 +66,17 @@ class ThresholdResult:
 def certified_at(lemma_id: str, beta: float, grid: GridSpec = GridSpec()) -> bool:
     """True iff the scan is admissible and the objective minimum sits at theta = 0.
 
-    That is: every grid margin is at least ``max(-eps_adm, P(0) - tol)``, P(0)
-    being the center row's minimum.  The center row and its two neighbours are
-    rows of the full grid, so a margin below the floor there rejects exactly
-    as the full scan would; otherwise the full scan is held to the same floor.
+    That is: every row of the profile is at least ``max(-eps_adm, P(0) - tol)``,
+    P(0) being the center row.  The center row and its two neighbours are rows
+    of the full scan, so a row below the floor there rejects exactly as the
+    full scan would; otherwise the full scan is held to the same floor.
     A non-finite margin in either scan raises ConfigurationError.
     """
     lemma = get_lemma(lemma_id)
     form = lemma.make_form(beta)
     c = grid.theta_points // 2
     band = scan_profile(form, lemma.region, grid, lemma.n_class, rows=slice(c - 1, c + 2))
-    floor = max(-grid.eps_adm, band.margins[1].min() - _CENTER_TOL)
+    floor = max(-grid.eps_adm, band.margins[1] - _CENTER_TOL)
     return bool(band.minimum >= floor
                 and scan_profile(form, lemma.region, grid, lemma.n_class).minimum >= floor)
 
@@ -89,9 +90,11 @@ def find_beta_threshold(lemma_id: str, search=None, tol: float = DEFAULT_TOL,
     than once (the bound is then not a single transition in the interval).
     A ``tol`` that is not finite and positive, or a ``search`` interval
     (lo, hi) that is not finite with 0 < lo < hi, is a ConfigurationError,
-    raised before any scan.  The bisection also stops once the midpoint
-    rounds onto an end of the bracket, so a sub-ulp ``tol`` yields adjacent
-    floats rather than a hang.
+    raised before any scan.  While the bracket spans more than a factor of 16
+    it is split at its geometric midpoint, so the step count grows with the
+    log of log(hi/lo) rather than with hi.  The bisection also stops once the
+    midpoint rounds onto an end of the bracket, so a sub-ulp ``tol`` yields
+    adjacent floats rather than a hang.
     """
     if not (np.isfinite(tol) and tol > 0.0):
         raise ConfigurationError(f"tol must be finite and positive, got {tol!r}")
@@ -118,7 +121,8 @@ def find_beta_threshold(lemma_id: str, search=None, tol: float = DEFAULT_TOL,
     blo, bhi = float(samples[k - 1]), float(samples[k])
     iterations = 0
     while bhi - blo > tol:
-        mid = 0.5 * (blo + bhi)
+        # a wide bracket (a --hi of 1e150, say) shrinks by ratio first, not by width
+        mid = math.sqrt(blo) * math.sqrt(bhi) if bhi > 16.0 * blo else 0.5 * (blo + bhi)
         if not blo < mid < bhi:
             break
         if certified_at(lemma_id, mid, grid=grid):

@@ -82,7 +82,7 @@ def test_criterion_2_unconditional_admissibility():
 
 def test_criterion_3_second_order_lemmas():
     ok_sum = check_lemma("second-sum").admissible
-    ok_sqsum = check_lemma("second-sqsum", grid=GridSpec(m_min=2.0)).admissible
+    ok_sqsum = check_lemma("second-sqsum").admissible  # scanned from its class index, m = 2
     pairs = []
     for gamma in (0.3, 0.6, 1.0, 2.0):
         cap = min(gamma, 4 * gamma - 1.0)

@@ -5,22 +5,24 @@ import pytest
 
 from lemniscate import admissibility
 from lemniscate.admissibility import (_GOLDEN, ConfigurationError, GridSpec,
-                                      _golden_min, _margin_grid,
-                                      check_admissible, min_over_t,
-                                      scan_profile)
-from lemniscate.boundary import make_triple
-from lemniscate.catalog import (LEMMAS, SecondOrderSum, SecondOrderWeighted,
-                                closed_form_g, evaluate, get_lemma)
+                                      _golden_min, _margin_grid, _ray,
+                                      _ray_minimum, check_admissible,
+                                      min_over_t, scan_profile)
+from lemniscate.boundary import jet_arrays, make_triple
+from lemniscate.catalog import (LEMMAS, FirstOrderPlus, SecondOrderSum,
+                                SecondOrderWeighted, closed_form_g, evaluate,
+                                get_lemma)
 from lemniscate.geometry import DELTA, Disk
 
 SQRT2 = np.sqrt(2.0)
-FAST = GridSpec(theta_points=1001, m_points=32)
+FAST = GridSpec(theta_points=1001)
 
 
-def check_lemma(lemma_id, beta=None, gamma=None, grid=GridSpec()):
+def check_lemma(lemma_id, beta=None, gamma=None, grid=GridSpec(), n_class=None):
     lemma = get_lemma(lemma_id)
     form = lemma.make_form(beta, gamma)
-    return check_admissible(form, lemma.region, grid, n_class=lemma.n_class)
+    n_class = lemma.n_class if n_class is None else n_class
+    return check_admissible(form, lemma.region, grid, n_class=n_class)
 
 
 def sample_t_box(form, triple, region, span=10.0, points=24):
@@ -30,6 +32,23 @@ def sample_t_box(form, triple, region, span=10.0, points=24):
     v = np.linspace(-span, span, points)
     t = (u[:, None] + 1j * v[None, :]) * e3
     return float(np.min(np.abs(form.value(triple.r, triple.s, t) - region.center)))
+
+
+def _sampled(rng, draws=3):
+    """(lemma_id, beta, gamma) at each lemma's defaults and at random coefficients."""
+    cases = []
+    for lemma_id, lemma in LEMMAS.items():
+        cases.append((lemma_id, lemma.default_beta, lemma.default_gamma))
+        for _ in range(draws if lemma.params != "none" else 0):
+            beta = float(np.exp(rng.uniform(np.log(0.05), np.log(10.0))))
+            if lemma.params == "beta-complex":
+                beta = complex(beta, rng.uniform(-10.0, 10.0))
+            gamma = float(rng.uniform(0.05, 4.0)) if lemma.params == "beta-gamma" else None
+            cases.append((lemma_id, beta, gamma))
+    return cases
+
+
+SAMPLED = _sampled(np.random.default_rng(17))
 
 
 class TestCheckAdmissible:
@@ -80,8 +99,8 @@ class TestCheckAdmissible:
 
     def test_second_sqsum_uses_class_index_two(self):
         assert check_lemma("second-sqsum").admissible
-        # forcing the scan down to m = 1 exposes interior values
-        low = check_lemma("second-sqsum", grid=GridSpec(m_min=1.0))
+        # scanning from m = 1 exposes interior values
+        low = check_lemma("second-sqsum", n_class=1)
         assert not low.admissible
 
     def test_pairing_error(self):
@@ -101,6 +120,18 @@ class TestCheckAdmissible:
         verdict = check_lemma("first3", 1.25, grid=FAST)
         assert verdict.admissible
         assert verdict.min_objective_seen == grid_min
+
+    @pytest.mark.parametrize("beta", [1e-300, 1e-30, 1e-8, 1.0, 1e150])
+    def test_extreme_coefficients_raise_no_warning(self, beta):
+        # a RuntimeWarning fails the test; a non-finite minimum is no verdict
+        for lemma_id, lemma in LEMMAS.items():
+            if lemma.threshold_ref is None:
+                continue
+            try:
+                verdict = check_lemma(lemma_id, beta)
+            except ConfigurationError:
+                continue
+            assert verdict.admissible == (verdict.witness is None), lemma_id
 
     def test_verdict_deterministic(self):
         a = check_lemma("first3", 1.25, grid=FAST)
@@ -158,12 +189,11 @@ class TestMinOverT:
 
 
 def _min_is_centered(prof, tol=1e-12):
-    rows = prof.margins.min(axis=1)
-    return bool(rows.min() >= rows[len(prof.theta) // 2] - tol)
+    return bool(prof.minimum >= prof.margins[len(prof.theta) // 2] - tol)
 
 
 def _argmin_theta(prof):
-    return float(prof.theta[prof.argmin[0]])
+    return float(prof.theta[prof.argmin])
 
 
 class TestScanProfile:
@@ -195,9 +225,9 @@ class TestScanProfile:
     def test_minimum_is_the_first_least_margin(self):
         lemma = get_lemma("first3")
         prof = scan_profile(lemma.make_form(0.5), lemma.region, FAST)
-        assert prof.margins.shape == (len(prof.theta), len(prof.m))
+        assert prof.margins.shape == prof.m.shape == prof.theta.shape
         assert prof.minimum == prof.margins.min()
-        assert prof.argmin == np.unravel_index(np.argmin(prof.margins), prof.margins.shape)
+        assert prof.argmin == np.argmin(prof.margins)
 
     def test_one_nan_margin_anywhere_is_no_scan(self, monkeypatch):
         def one_nan(form, region, theta, m):
@@ -211,16 +241,38 @@ class TestScanProfile:
             scan_profile(lemma.make_form(2.0), lemma.region, FAST)
 
 
+@pytest.mark.parametrize("beta", [1e-300, 1e-30, 1.0, 1e100])
+def test_ray_step_does_not_cancel(beta):
+    # at beta = 1e-30 a unit step of b changes psi = a + beta b/a^4 by less than an ulp
+    r, sigma, _, _ = jet_arrays(FAST.theta_grid()[::50], np.ones(1))
+    r, sigma = r[:, 0], sigma[:, 0]
+    a, c = _ray(FirstOrderPlus(4, beta).value, r, sigma)
+    assert np.array_equal(a, r)
+    exact = beta * sigma / r**4
+    assert np.max(np.abs(c - exact) / np.abs(exact)) < 1e-14
+
+
 class TestGridHygiene:
-    def test_m_cutoff_hides_no_violations(self):
-        # margins for m in [m_max, 1e3] never undercut the scanned minimum
-        theta = FAST.theta_grid()
-        far_m = np.geomspace(FAST.m_max, 1e3, 200)
-        for lemma_id, lemma in LEMMAS.items():
-            form = lemma.make_form(lemma.default_beta, lemma.default_gamma)
-            verdict = check_admissible(form, lemma.region, FAST, n_class=lemma.n_class)
-            far = _margin_grid(form, lemma.region, theta, far_m)
-            assert far.min() >= verdict.min_objective_seen - 1e-12, lemma_id
+    def test_no_row_above_a_dense_m_grid(self):
+        # each row's least margin is at or below every margin of a dense m grid out to 1e6
+        for lemma_id, beta, gamma in SAMPLED:
+            lemma = get_lemma(lemma_id)
+            form = lemma.make_form(beta, gamma)
+            n = lemma.n_class
+            prof = scan_profile(form, lemma.region, FAST, n, rows=slice(None, None, 10))
+            dense = np.union1d(np.geomspace(n, 1e6, 200), np.linspace(n, n + 12, 121))
+            least = _margin_grid(form, lemma.region, prof.theta, dense).min(axis=1)
+            assert np.all(prof.margins <= least + 1e-12 * np.maximum(1.0, np.abs(least))), \
+                (lemma_id, beta, gamma)
+
+    def test_ray_minimizers_start_at_the_class_index(self):
+        for lemma_id, beta, gamma in SAMPLED:
+            lemma = get_lemma(lemma_id)
+            prof = scan_profile(lemma.make_form(beta, gamma), lemma.region, FAST, lemma.n_class)
+            assert np.all(prof.m >= lemma.n_class), (lemma_id, beta, gamma)
+        # scanning second-sqsum from m = 1 reaches below its class index
+        lemma = get_lemma("second-sqsum")
+        assert scan_profile(lemma.make_form(), lemma.region, FAST, 1).m.min() == 1.0
 
     def test_refinement_stability(self):
         for lemma_id, beta, gamma in [("first3", 1.5, None), ("one0", 1.3, None),
@@ -229,20 +281,18 @@ class TestGridHygiene:
             assert verdict.admissible
             if verdict.min_objective_seen > 1e-4:
                 double = check_lemma(lemma_id, beta, gamma, grid=replace(
-                    FAST, theta_points=2 * FAST.theta_points + 1,
-                    m_points=2 * FAST.m_points))
+                    FAST, theta_points=2 * FAST.theta_points + 1))
                 assert double.admissible, lemma_id
 
     def test_clamp_hides_no_violations(self):
-        # objectives at half the clamp distance exceed the scanned minimum
+        # least margins over all m at half the clamp distance exceed the scanned minimum
         edge = np.pi / 4 - 5e-7
         for lemma_id in ("first0", "first3", "one0", "sq2", "sqrat",
                          "second-sum", "second-sqsum"):
             lemma = get_lemma(lemma_id)
             form = lemma.make_form(lemma.default_beta, lemma.default_gamma)
             verdict = check_admissible(form, lemma.region, FAST, n_class=lemma.n_class)
-            near = _margin_grid(form, lemma.region, np.array([edge]),
-                                np.array([float(lemma.n_class)]))[0, 0]
+            near = _ray_minimum(form, lemma.region, np.array([edge]), lemma.n_class)[1][0]
             assert near >= verdict.min_objective_seen - 1e-12, lemma_id
 
     def test_even_theta_count_becomes_odd(self):
@@ -255,30 +305,13 @@ class TestGridHygiene:
     def test_grid_validation(self):
         with pytest.raises(ConfigurationError):
             GridSpec(theta_points=10)
-        with pytest.raises(ConfigurationError):
-            GridSpec(m_min=0.5)
-        with pytest.raises(ConfigurationError):
-            GridSpec(m_max=0.5)
         for bad in (-0.1, 0.0, 1.0):
             with pytest.raises(ConfigurationError):
                 GridSpec(theta_margin=bad)
         for bad in (np.nan, np.inf, -1.0, -1e-12):
             with pytest.raises(ConfigurationError, match="eps_adm"):
                 GridSpec(eps_adm=bad)
-        for bad in ({"m_max": np.inf}, {"m_max": np.nan}, {"m_min": np.nan},
-                    {"m_min": np.inf}):
-            with pytest.raises(ConfigurationError, match="finite"):
-                GridSpec(**bad)
         GridSpec(eps_adm=0.0)  # the non-strict boundary itself, no tolerance
-
-    def test_m_max_must_exceed_class_index(self):
-        # second-sqsum scans from m = 2: m_max = 1.5 would reverse the m grid
-        grid = GridSpec(m_max=1.5)
-        with pytest.raises(ConfigurationError):
-            grid.m_grid(n_class=2)
-        with pytest.raises(ConfigurationError):
-            check_lemma("second-sqsum", grid=grid)
-        assert grid.m_grid(n_class=1)[0] == 1.0
 
 
 def golden_min_one_point(f, lo, hi, iters):
@@ -311,13 +344,13 @@ SEARCH_CASES = {
     "step": lambda x: np.where(x < 0.61, 1.0, 0.0),
 }
 
-# a coefficient (or grid) on the violating side for every lemma that can fail
+# a coefficient (or class index) on the violating side for every lemma that can fail
 FAILING = [("first3", 0.2, None, GridSpec()), ("first4", 0.5, None, GridSpec()),
            ("sq2", 0.3, None, GridSpec()), ("one0", 1.0, None, GridSpec()),
            ("one1", 0.8, None, GridSpec()), ("one2", 1.0, None, GridSpec()),
            ("moebius", 1.0, None, GridSpec()),
            ("second-weighted", 1 / 6, 1 / 6, GridSpec()),
-           ("second-sqsum", None, None, GridSpec(m_min=1.0))]
+           ("second-sqsum", None, None, GridSpec(), 1)]
 
 
 class TestBatchedPolish:
@@ -340,14 +373,15 @@ class TestBatchedPolish:
         for case, got, want in zip(cases, batched, reference):
             assert repr(got) == repr(want), case
 
-    def test_one_scan_and_three_batched_searches(self, monkeypatch):
+    def test_one_scan_and_one_batched_search(self, monkeypatch):
         points = []
 
         def counting(form, region, theta, m):
-            points.append(theta.size * m.size)
+            points.append(m.shape)
             return _margin_grid(form, region, theta, m)
 
         monkeypatch.setattr(admissibility, "_margin_grid", counting)
         check_lemma("first3", 1.25)
-        # per search: the two opening points, then 12 batches of 4 steps
-        assert points == [2001 * 64] + 3 * ([2] + 12 * [15])
+        # m = 1 and the cubic's three roots on every row; the search takes its
+        # two opening points, then 12 batches of 4 steps, then the witness m
+        assert points == [(2001, 4), (2, 4)] + 12 * [(15, 4)] + [(1, 4)]

@@ -13,7 +13,8 @@ import pytest
 import lemniscate
 from lemniscate import thresholds
 from lemniscate.admissibility import GridSpec
-from lemniscate.catalog import LEMMAS
+from lemniscate.boundary import make_triple
+from lemniscate.catalog import LEMMAS, evaluate
 from lemniscate.cli import main
 
 
@@ -28,7 +29,7 @@ class TestCheck:
         code, out, _ = run(capsys, "check", "--lemma", "first3", "--beta", "1.5")
         assert code == 0
         report = json.loads(out)
-        assert report["schema"] == 1
+        assert report["schema"] == 2
         assert report["verdict"]["admissible"] is True
         assert report["verdict"]["witness"] is None
 
@@ -54,12 +55,27 @@ class TestCheck:
         code, _, _ = run(capsys, "check", "--lemma", "bogus")
         assert code == 1
 
-    def test_m_max_below_class_index_is_usage_error(self, capsys):
-        # second-sqsum scans from m = 2; a reversed m grid must not yield a verdict
-        code, out, err = run(capsys, "check", "--lemma", "second-sqsum", "--m-max", "1.5")
+    @pytest.mark.parametrize("flag", ["--m-min", "--m-max", "--m-points"])
+    def test_m_grid_flags_are_usage_errors(self, capsys, flag):
+        # m is minimized exactly over [n, inf): there is no m grid to set
+        code, out, err = run(capsys, "check", "--lemma", "second-sqsum", flag, "2")
         assert code == 1
         assert out == ""
-        assert "m_max" in err
+        assert "unrecognized arguments" in err
+
+    @pytest.mark.parametrize("lemma,beta", [("first4", "1e-21"), ("first3", "1e-18"),
+                                            ("sq2", "1e-18")])
+    def test_violation_beyond_m_eight_is_found(self, capsys, lemma, beta):
+        # psi depends on beta only through u = beta*m, so the violation that
+        # beta = 0.1 shows at m ~ 1 recurs at m ~ 1/beta
+        code, out, _ = run(capsys, "check", "--lemma", lemma, "--beta", beta)
+        assert code == 2
+        w = json.loads(out)["verdict"]["witness"]
+        assert w["m"] > 8.0
+        spec = LEMMAS[lemma]
+        psi = evaluate(spec.make_form(float(beta)), make_triple(w["theta"], w["m"]))
+        assert spec.region.contains(psi)
+        assert spec.region.margin(psi) == pytest.approx(w["margin"], abs=1e-12)
 
     def test_non_finite_scan_is_usage_error(self, capsys):
         # every margin overflows to inf: no verdict, and no "Infinity" in the JSON
@@ -96,8 +112,8 @@ class TestCheck:
         ["--eps-adm", "nan"],
         ["--eps-adm", "-1"],
         ["--eps-adm", "inf"],
-        ["--m-max", "inf"],
-        ["--m-min", "nan"],
+        ["--theta-margin", "nan"],
+        ["--theta-margin", "inf"],
     ])
     def test_non_finite_or_negative_grid_value_is_usage_error(self, capsys, argv):
         # each used to print a false violation or invalid JSON (NaN, Infinity)
@@ -125,8 +141,7 @@ class TestCheck:
         assert json.loads(even)["grid"]["theta_points"] == 1001
         assert even == odd
 
-    GRID_FLAGS = {"theta_points": 1001, "theta_margin": 1e-4, "m_min": 1.5,
-                  "m_max": 5.0, "m_points": 16, "eps_adm": 1e-7}
+    GRID_FLAGS = {"theta_points": 1001, "theta_margin": 1e-4, "eps_adm": 1e-7}
 
     @pytest.mark.parametrize("name", [f.name for f in fields(GridSpec)])
     def test_grid_flag_reaches_the_report(self, capsys, name):
@@ -208,6 +223,16 @@ class TestThreshold:
                                "--tol", "1e140")
         assert code == 0
         assert json.loads(out)["threshold"]["beta_low"] < 1.1874
+
+    def test_overflowing_margins_bracket_without_warnings(self, capsys):
+        # margins past |psi| ~ 1e154 are inf without a RuntimeWarning, and the
+        # 3e150-wide bracket shrinks by ratio before it shrinks by width
+        code, out, err = run(capsys, "threshold", "--lemma", "first3", "--hi", "1e150")
+        assert code == 0
+        assert err == ""
+        res = json.loads(out)["threshold"]
+        assert res["beta_low"] < 1.1874 < res["beta_high"]
+        assert res["iterations"] <= 30
 
     def test_sub_ulp_tol_returns_adjacent_floats(self):
         # a subprocess, so that a bisection that never stops fails on the timeout

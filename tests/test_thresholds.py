@@ -4,7 +4,8 @@ import pytest
 from lemniscate import thresholds
 from lemniscate.admissibility import ConfigurationError, GridSpec, scan_profile
 from lemniscate.catalog import LEMMAS, get_lemma
-from lemniscate.thresholds import BracketError, certified_at, find_beta_threshold
+from lemniscate.thresholds import (DEFAULT_SEARCH, BracketError, certified_at,
+                                   find_beta_threshold)
 
 SQRT2 = np.sqrt(2.0)
 
@@ -48,8 +49,8 @@ class TestBisection:
         assert result.iterations > 0
 
     def test_halving_grid_spacing_is_stable(self):
-        coarse = find_beta_threshold("one1", grid=GridSpec(theta_points=1001, m_points=32))
-        fine = find_beta_threshold("one1", grid=GridSpec(theta_points=2001, m_points=64))
+        coarse = find_beta_threshold("one1", grid=GridSpec(theta_points=1001))
+        fine = find_beta_threshold("one1", grid=GridSpec(theta_points=2001))
         assert abs(coarse.beta_star - fine.beta_star) < 1e-4
 
     def test_explicit_search_interval(self):
@@ -113,6 +114,22 @@ class TestTolerance:
         assert result.iterations == len(step_certificate) - 8
 
 
+class TestWideInterval:
+    def test_bisects_by_ratio_while_the_bracket_is_wide(self, step_certificate):
+        # the pre-scan leaves [0.05, 1.4e149]; halving its width would take ~500 steps
+        result = find_beta_threshold("one0", search=(0.05, 1e150))
+        assert result.beta_low < 1.2345 <= result.beta_high
+        assert result.beta_high - result.beta_low <= result.tolerance
+        assert result.iterations == len(step_certificate) - 8
+        assert result.iterations <= 30
+
+    def test_narrow_brackets_bisect_by_width(self, step_certificate):
+        # the default interval leaves a bracket within a factor of 16: plain halving
+        result = find_beta_threshold("one0")
+        width = (DEFAULT_SEARCH[1] - DEFAULT_SEARCH[0]) / 7
+        assert result.iterations == int(np.ceil(np.log2(width / result.tolerance)))
+
+
 class TestSearchInterval:
     @pytest.mark.parametrize("search", [(7.0, 6.0), (0.0, 6.0), (float("nan"), 6.0),
                                         (0.05, float("inf")), (-1.0, 6.0)])
@@ -127,8 +144,7 @@ def _full_scan_certified(lemma_id, beta, grid=GridSpec()):
     lemma = get_lemma(lemma_id)
     prof = scan_profile(lemma.make_form(beta), lemma.region, grid,
                         n_class=lemma.n_class)
-    rows = prof.margins.min(axis=1)
-    lowest, center = rows.min(), rows[len(prof.theta) // 2]
+    lowest, center = prof.minimum, prof.margins[len(prof.theta) // 2]
     return bool(lowest >= -grid.eps_adm and lowest >= center - 1e-12)
 
 
