@@ -13,9 +13,10 @@ so at each theta the boundary image is the ray A(theta) + m C(theta) over
 m in [n, inf), and its least margin sits at m = n, at one of the few m its
 region names (``ray_extrema`` in :mod:`lemniscate.geometry`), or in a limit
 as m -> inf.  For second-order forms the t-projected distance is max(0, h(m))
-with h a quadratic of positive leading coefficient, whose vertex is the one
-other candidate.  The margins are evaluated at those m by the same code as
-any point (:func:`_margin_grid`), so the profile is 1-D over theta.
+with h a quadratic of positive leading coefficient whose vertex, for every
+catalogued form, lies below m = 1, so its least value is at m = n.  One
+boundary jet per scan serves every candidate m, so the profile is 1-D over
+theta.
 
 :func:`scan_profile` is the only code that scans: it builds the theta grid,
 finds each row's least margin and their minimum once, and a non-finite
@@ -116,17 +117,6 @@ def _require_pairing(form: PsiForm, region: Region) -> None:
         raise ConfigurationError("second-order forms are checked against disk targets only")
 
 
-def _margin_grid(form: PsiForm, region: Region, theta: np.ndarray, m: np.ndarray) -> np.ndarray:
-    """Region margins of psi at every m of a 1-D ``m`` on each theta, shape (K, M),
-    or at a (K, c) ``m`` per theta row."""
-    if form.order == 2:
-        dist, _, _, _ = second_order_min_distance(form, region.center, theta, m)
-        return dist - region.radius
-    r, s, _, _ = jet_arrays(theta, m)
-    psi = form.value(r, s)
-    return np.asarray(region.margin(psi))
-
-
 def _ray(f, r, sigma):
     """(A, C) with f(r, m sigma) = A + m C, for f affine in its second slot.
 
@@ -150,21 +140,21 @@ def _ray_minimum(form: PsiForm, region: Region, theta: np.ndarray, n_class: int)
     """Least margin along each theta's boundary ray over m >= n_class, and the m
     attaining it (inf where the least value is the limit as m -> inf); shapes (K,)."""
     n = float(n_class)
+    if form.order == 2:
+        # base = B0 + m B1 makes the projected distance max(0, h(m)) with
+        # h = coef m(3m - 4)/(8 sqrt(2 cos 2 theta)) + m Re(B1 e^{-3i theta}) + const,
+        # whose vertex is 2/3 (1 - Re(B1/sigma)/coef).  Every catalogued base has
+        # B1 = kappa sigma with kappa real and > 0 (1 for b + c and a^2 + b + c,
+        # gamma for gamma b + beta c) and coef > 0, so the vertex lies below
+        # 2/3 < 1 <= n: h increases on [n, inf) and its least value is at m = n.
+        dist, _, _, _ = second_order_min_distance(form, region.center, theta, np.array([n]))
+        return np.full(len(theta), n), dist[:, 0] - region.radius
     r, sigma, _, _ = jet_arrays(theta, np.ones(1))
-    r, sigma = r[:, 0], sigma[:, 0]
     with np.errstate(all="ignore"):  # a candidate that is not finite becomes n below
-        if form.order == 2:
-            # base = B0 + m B1 makes the projected distance max(0, h(m)) with
-            # h = coef m(3m - 4)/(8 sqrt(2 cos 2 theta)) + m Re(B1 e^{-3i theta}) + const,
-            # whose vertex is 2/3 - (2/3) Re(B1/sigma)/coef
-            _, b1 = _ray(form.base, r, sigma)
-            extra = (2.0 / 3.0 * (1.0 - (b1 / sigma).real / float(form.t_coefficient)))[:, None]
-            tail = np.inf
-        else:
-            extra, tail = region.ray_extrema(*_ray(form.value, r, sigma))
+        extra, tail = region.ray_extrema(*_ray(form.value, r[:, 0], sigma[:, 0]))
         m = np.where(np.isfinite(extra), np.maximum(n, extra), n)
     m = np.concatenate([np.full((len(theta), 1), n), m], axis=1)
-    margins = np.concatenate([_margin_grid(form, region, theta, m),
+    margins = np.concatenate([np.asarray(region.margin(form.value(r, sigma * m))),
                               np.broadcast_to(tail, (len(theta),))[:, None]], axis=1)
     m = np.concatenate([m, np.full((len(theta), 1), np.inf)], axis=1)
     j = np.argmin(margins, axis=1)

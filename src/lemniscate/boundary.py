@@ -91,7 +91,7 @@ def curvature_identity(theta: float) -> float:
 # vectorized builder used by the scanner
 
 def jet_arrays(theta: np.ndarray, m: np.ndarray):
-    """Boundary data at every m of a 1-D ``m`` on each theta, or at a (K, c) ``m`` per row.
+    """Boundary data at every m of a 1-D ``m`` on each theta.
 
     Returns (r, s, tau_min, e3) with shapes (K,1), (K,M), (K,M), (K,1); r and
     e3 are kept as columns so the psi-forms broadcast against s without copies.
@@ -100,9 +100,11 @@ def jet_arrays(theta: np.ndarray, m: np.ndarray):
     """
     check_theta(theta)
     m = np.asarray(m, dtype=np.float64)
+    if m.ndim != 1:
+        raise DomainError("m must be a 1-D array")
     if np.any(m < 1.0):
         raise DomainError("m must be >= 1")
-    m = m if m.ndim == 2 else m[None, :]
+    m = m[None, :]
     c = np.cos(2.0 * theta)
     root = np.sqrt(2.0 * c)
     r = (root * np.exp(1j * theta))[:, None]

@@ -18,6 +18,8 @@ import json
 
 import numpy as np
 
+TAIL_WINDOW = 8  # trailing coefficients the tail estimate fits its decay to
+
 
 class NonInvertibleSeriesError(ZeroDivisionError):
     """Division by a series whose constant term vanishes."""
@@ -50,11 +52,6 @@ class TruncatedSeries:
     @classmethod
     def zero(cls, order: int) -> "TruncatedSeries":
         return cls(np.zeros(order + 1, dtype=np.complex128))
-
-    @classmethod
-    def geometric(cls, order: int) -> "TruncatedSeries":
-        """1/(1-z) truncated: all coefficients 1."""
-        return cls(np.ones(order + 1, dtype=np.complex128))
 
     # -- basic views ---------------------------------------------------------
 
@@ -196,14 +193,14 @@ class TruncatedSeries:
         z = radius * np.exp(2j * np.pi * np.arange(points) / points)
         return self.evaluate(z)
 
-    def tail_estimate(self, radius: float, window: int = 8) -> float:
+    def tail_estimate(self, radius: float) -> float:
         """Heuristic bound on the dropped tail at |z| = radius.
 
-        Fits a geometric decay to the last ``window`` coefficient magnitudes
+        Fits a geometric decay to the last ``TAIL_WINDOW`` coefficient magnitudes
         and extrapolates; returns +inf when they are not decaying.  Zero for
         data whose top window vanishes (exact polynomials of lower degree).
         """
-        w = min(window, self._c.size - 1)
+        w = min(TAIL_WINDOW, self._c.size - 1)
         if w < 1:
             return 0.0
         mags = np.abs(self._c[-(w + 1):]) * radius ** np.arange(self.order - w, self.order + 1)

@@ -5,13 +5,13 @@ import pytest
 
 from lemniscate import admissibility
 from lemniscate.admissibility import (_GOLDEN, ConfigurationError, GridSpec,
-                                      _golden_min, _margin_grid, _ray,
+                                      _golden_min, _ray,
                                       _ray_minimum, check_admissible,
                                       min_over_t, scan_profile)
 from lemniscate.boundary import jet_arrays, make_triple
 from lemniscate.catalog import (LEMMAS, FirstOrderPlus, SecondOrderSum,
                                 SecondOrderWeighted, closed_form_g, evaluate,
-                                get_lemma)
+                                get_lemma, second_order_min_distance)
 from lemniscate.geometry import DELTA, Disk
 
 SQRT2 = np.sqrt(2.0)
@@ -230,13 +230,15 @@ class TestScanProfile:
         assert prof.argmin == np.argmin(prof.margins)
 
     def test_one_nan_margin_anywhere_is_no_scan(self, monkeypatch):
-        def one_nan(form, region, theta, m):
-            margins = _margin_grid(form, region, theta, m)
+        lemma = get_lemma("one1")
+        margin = type(lemma.region).margin
+
+        def one_nan(region, w):
+            margins = np.array(margin(region, w))
             margins[-1, -1] = np.nan  # far from the minimum, which is finite
             return margins
 
-        monkeypatch.setattr(admissibility, "_margin_grid", one_nan)
-        lemma = get_lemma("one1")
+        monkeypatch.setattr(type(lemma.region), "margin", one_nan)
         with pytest.raises(ConfigurationError, match="nan, not finite"):
             scan_profile(lemma.make_form(2.0), lemma.region, FAST)
 
@@ -252,6 +254,15 @@ def test_ray_step_does_not_cancel(beta):
     assert np.max(np.abs(c - exact) / np.abs(exact)) < 1e-14
 
 
+def dense_margins(form, region, theta, m):
+    """Region margins of psi at every m of a 1-D ``m`` on each theta, shape (K, M)."""
+    if form.order == 2:
+        dist, _, _, _ = second_order_min_distance(form, region.center, theta, m)
+        return dist - region.radius
+    r, s, _, _ = jet_arrays(theta, m)
+    return np.asarray(region.margin(form.value(r, s)))
+
+
 class TestGridHygiene:
     def test_no_row_above_a_dense_m_grid(self):
         # each row's least margin is at or below every margin of a dense m grid out to 1e6
@@ -261,7 +272,7 @@ class TestGridHygiene:
             n = lemma.n_class
             prof = scan_profile(form, lemma.region, FAST, n, rows=slice(None, None, 10))
             dense = np.union1d(np.geomspace(n, 1e6, 200), np.linspace(n, n + 12, 121))
-            least = _margin_grid(form, lemma.region, prof.theta, dense).min(axis=1)
+            least = dense_margins(form, lemma.region, prof.theta, dense).min(axis=1)
             assert np.all(prof.margins <= least + 1e-12 * np.maximum(1.0, np.abs(least))), \
                 (lemma_id, beta, gamma)
 
@@ -273,6 +284,23 @@ class TestGridHygiene:
         # scanning second-sqsum from m = 1 reaches below its class index
         lemma = get_lemma("second-sqsum")
         assert scan_profile(lemma.make_form(), lemma.region, FAST, 1).m.min() == 1.0
+
+    def test_second_order_rays_are_least_at_the_class_index(self):
+        # base = B0 + m kappa sigma with kappa real and > 0, so the projected
+        # distance's vertex 2/3 (1 - kappa/coef) lies below 1 <= n
+        r, sigma, _, _ = jet_arrays(FAST.theta_grid(), np.ones(1))
+        r, sigma = r[:, 0], sigma[:, 0]
+        for lemma_id, beta, gamma in SAMPLED:
+            lemma = get_lemma(lemma_id)
+            if lemma.order != 2:
+                continue
+            form = lemma.make_form(beta, gamma)
+            _, b1 = _ray(form.base, r, sigma)
+            kappa = b1 / sigma
+            assert np.all(np.abs(kappa.imag) <= 1e-12 * np.abs(kappa)), (lemma_id, beta, gamma)
+            assert np.all(kappa.real > 0.0), (lemma_id, beta, gamma)
+            prof = scan_profile(form, lemma.region, FAST, lemma.n_class)
+            assert np.all(prof.m == lemma.n_class), (lemma_id, beta, gamma)
 
     def test_refinement_stability(self):
         for lemma_id, beta, gamma in [("first3", 1.5, None), ("one0", 1.3, None),
@@ -374,14 +402,15 @@ class TestBatchedPolish:
             assert repr(got) == repr(want), case
 
     def test_one_scan_and_one_batched_search(self, monkeypatch):
-        points = []
+        shapes = []
 
-        def counting(form, region, theta, m):
-            points.append(m.shape)
-            return _margin_grid(form, region, theta, m)
+        def counting(theta, m):
+            jet = jet_arrays(theta, m)
+            shapes.append(jet[1].shape)
+            return jet
 
-        monkeypatch.setattr(admissibility, "_margin_grid", counting)
+        monkeypatch.setattr(admissibility, "jet_arrays", counting)
         check_lemma("first3", 1.25)
-        # m = 1 and the cubic's three roots on every row; the search takes its
-        # two opening points, then 12 batches of 4 steps, then the witness m
-        assert points == [(2001, 4), (2, 4)] + 12 * [(15, 4)] + [(1, 4)]
+        # one jet per evaluation serves every candidate m: the scan, the search's
+        # two opening points, 12 batches of 4 steps, then the minimizer's m
+        assert shapes == [(2001, 1), (2, 1)] + 12 * [(15, 1)] + [(1, 1)]

@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
 
-from lemniscate.boundary import AdmissibleTriple, curvature_identity, make_triple
+from lemniscate.boundary import (AdmissibleTriple, curvature_identity, jet_arrays,
+                                 make_triple)
 from lemniscate.geometry import DomainError, lemniscate_boundary
 
 SQRT2 = np.sqrt(2.0)
@@ -31,6 +32,11 @@ class TestMakeTriple:
     def test_domain_errors(self, theta, m):
         with pytest.raises(DomainError):
             make_triple(theta, m)
+
+    def test_jet_takes_one_m_axis_for_all_theta(self):
+        assert jet_arrays(np.zeros(3), np.ones(2))[1].shape == (3, 2)
+        with pytest.raises(DomainError, match="1-D"):
+            jet_arrays(np.zeros(3), np.ones((3, 2)))
 
     def test_m_scaling_exact(self):
         for theta in (-0.5, 0.0, 0.31):

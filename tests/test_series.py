@@ -149,7 +149,7 @@ class TestEvaluation:
         assert TruncatedSeries.constant(1.0, 6).evaluate(0.3 + 0.4j) == 1.0
 
     def test_geometric_at_half(self):
-        val = TruncatedSeries.geometric(50).evaluate(0.5)
+        val = TruncatedSeries(np.ones(51)).evaluate(0.5)
         assert val == pytest.approx(2.0, abs=1e-12)
 
     def test_sqrt_series_at_interior_point(self):
@@ -165,14 +165,14 @@ class TestEvaluation:
         np.testing.assert_allclose(fft_vals, s.evaluate(z), atol=1e-12)
 
     def test_small_point_count_falls_back(self):
-        s = TruncatedSeries.geometric(30)
+        s = TruncatedSeries(np.ones(31))
         vals = s.values_on_circle(0.5, 8)
         z = 0.5 * np.exp(2j * np.pi * np.arange(8) / 8)
         np.testing.assert_allclose(vals, s.evaluate(z), atol=1e-13)
 
     def test_tail_estimate_grades_decay(self):
-        assert TruncatedSeries.geometric(64).tail_estimate(0.5) < 1e-18
-        assert TruncatedSeries.geometric(64).tail_estimate(0.999) > 1e-3
+        assert TruncatedSeries(np.ones(65)).tail_estimate(0.5) < 1e-18
+        assert TruncatedSeries(np.ones(65)).tail_estimate(0.999) > 1e-3
         poly = TruncatedSeries(np.r_[np.ones(4), np.zeros(60)])
         assert poly.tail_estimate(0.999) == 0.0
 

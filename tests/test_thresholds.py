@@ -4,8 +4,9 @@ import pytest
 from lemniscate import thresholds
 from lemniscate.admissibility import ConfigurationError, GridSpec, scan_profile
 from lemniscate.catalog import LEMMAS, get_lemma
-from lemniscate.thresholds import (DEFAULT_SEARCH, BracketError, certified_at,
-                                   find_beta_threshold)
+from lemniscate.cli import main
+from lemniscate.thresholds import (DEFAULT_SEARCH, BracketError, MonotonicityError,
+                                   certified_at, find_beta_threshold)
 
 SQRT2 = np.sqrt(2.0)
 
@@ -74,6 +75,17 @@ class TestBracketErrors:
     def test_bad_interval(self):
         with pytest.raises(ConfigurationError):
             find_beta_threshold("one0", search=(2.0, 1.0))
+
+    def test_certificate_that_flips_back_is_not_monotone(self, monkeypatch, capsys):
+        # the pre-scan samples 0.05, 0.9, 1.75, ..., 6.0 read F F T F F T T T
+        monkeypatch.setattr(thresholds, "certified_at",
+                            lambda lemma_id, beta, grid=None: 1.0 < beta < 2.0 or beta > 4.0)
+        with pytest.raises(MonotonicityError):
+            find_beta_threshold("first3")
+        assert main(["threshold", "--lemma", "first3"]) == 3
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert "not monotone" in err
 
 
 def test_non_finite_scan_is_no_certificate():

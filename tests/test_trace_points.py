@@ -53,3 +53,19 @@ def test_certified_at_scans_through_scan_profile(monkeypatch):
     assert certified_at("one1", 2.0)  # the band passes, so the full scan decides
     assert not certified_at("one1", 1.0)  # the band rejects
     assert rows == [3, GridSpec().theta_points, 3]
+
+
+def test_jet_counter_counts_the_points_each_scan_evaluates():
+    tracer = _spans_module().Tracer()
+    tracer.install()
+    tracer.active = True
+    try:
+        lemma = get_lemma("first3")
+        check_admissible(lemma.make_form(1.25), lemma.region, n_class=lemma.n_class)
+    finally:
+        tracer.uninstall()
+    calls, _, _ = tracer.totals()
+    # one jet per evaluation: the scan, the search's two opening points and
+    # 12 batches of 15, then the minimizer's m at one point
+    assert tracer.counts["boundary.jet_arrays.grid_points"] == 2001 + 2 + 12 * 15
+    assert calls["boundary.jet_arrays.point"] == 1

@@ -116,7 +116,7 @@ class TestHypothesisSeries:
         np.testing.assert_allclose(hyp.coeffs[:2], [1.0, 0.25], atol=1e-14)
 
     def test_derivative_ratio_form(self):
-        p = TruncatedSeries.geometric(24)  # 1/(1-z): z p'/p = z/(1-z)
+        p = TruncatedSeries(np.ones(25))  # 1/(1-z): z p'/p = z/(1-z)
         hyp = hypothesis_series("ex2", p)
         np.testing.assert_allclose(hyp.coeffs, np.r_[0.0, np.ones(24)], atol=1e-12)
 
