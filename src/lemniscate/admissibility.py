@@ -18,22 +18,31 @@ catalogued form, lies below m = 1, so its least value is at m = n.  One
 boundary jet per scan serves every candidate m, so the profile is 1-D over
 theta.
 
+A first-order scan is two parts.  The :class:`Rays` table (the jet, the
+region's candidates and the margins there, the limit) does not depend on
+where the ray starts or on the scale of b; only the start m = n does.  The
+coefficient of every thresholded lemma enters as beta b, so the form at beta
+is the form at 1 along u = beta m, and one table of the form at 1 serves every
+beta:
+:func:`scaled_profile` reads a profile from it with one margin evaluation per
+row, the start, while its candidates count only where u > beta n.
+
 :func:`scan_profile` is the only code that scans: it builds the theta grid,
-finds each row's least margin and their minimum once, and a non-finite
+the table, each row's least margin and their minimum once, and a non-finite
 minimum is a ConfigurationError.  The scan is purely functional and its
 minimum a min-reduction, so results are bit-identical for a given grid.  The
-verdict and the bisection certificate
-(:func:`lemniscate.thresholds.certified_at`) are views of it.  The verdict
-adds a short golden-section polish over theta around the profile minimizer
-that tightens the reported minimum and the violation witness; it can only
-lower the minimum, never raise it.  Each evaluation of the profile serves four
-of its steps (see :func:`_golden_min`).
+verdict is a view of it, and the bisection certificate
+(:func:`lemniscate.thresholds.certified_at`) a view of the table of the form at
+1.  The verdict adds a short golden-section polish over theta around the
+profile minimizer that tightens the reported minimum and the violation
+witness; it can only lower the minimum, never raise it.  Each evaluation of
+the profile serves four of its steps (see :func:`_golden_min`).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
+from typing import NamedTuple, Optional
 
 import numpy as np
 
@@ -94,18 +103,39 @@ class TMinimum:
     objective: float
 
 
+class Rays(NamedTuple):
+    """The part of a first-order scan that does not depend on the scale of b.
+
+    Per theta row: the jet r and sigma (shapes (K, 1)), then the m its region
+    names along the ray A + m C (``ray_extrema``; 0 where a candidate is not
+    finite and positive, so it never counts) and last m = inf, and the
+    margins there, the last being the margin's limit (shapes (K, J + 1)).  A
+    form that takes its coefficient beta as beta b is the unit form along
+    u = beta m: its ray is the same line, its candidates are u / beta and its
+    margins there are the unit form's.  Only the start m = n moves.
+    """
+
+    r: np.ndarray
+    sigma: np.ndarray
+    m: np.ndarray
+    margins: np.ndarray
+
+
 @dataclass(frozen=True)
 class Profile:
     """One scan: each theta row's least margin over m >= n (minimized over t where
     applicable) and the m attaining it (inf where the least value is a limit).
 
-    ``argmin`` is the row of the first least margin.
+    ``argmin`` is the row of the first least margin.  ``rays`` is the table
+    the scan of a first-order form was reduced from (None for second-order
+    forms and for a profile read from another's rays).
     """
 
     theta: np.ndarray
     m: np.ndarray
     margins: np.ndarray
     argmin: int
+    rays: Optional[Rays] = None
 
     @property
     def minimum(self) -> float:
@@ -136,9 +166,40 @@ def _ray(f, r, sigma):
         t = np.where(short, np.ldexp(t, np.minimum(step, 1020 - np.frexp(t)[1])), t)
 
 
+def _rays(form: PsiForm, region: Region, theta: np.ndarray, n: float):
+    """The rays of ``form`` on each theta and its margins at their start m = n, shape
+    (K, 1): one jet and one margin evaluation."""
+    r, sigma, _, _ = jet_arrays(theta, np.ones(1))
+    with np.errstate(all="ignore"):  # a candidate that is not finite and positive never counts
+        extra, tail = region.ray_extrema(*_ray(form.value, r[:, 0], sigma[:, 0]))
+        m = np.where(np.isfinite(extra) & (extra > 0.0), extra, 0.0)
+    m = np.concatenate([m, np.full((len(theta), 1), n)], axis=1)
+    margins = np.asarray(region.margin(form.value(r, sigma * m)))
+    start = margins[:, -1:].copy()
+    m[:, -1], margins[:, -1] = np.inf, tail
+    return Rays(r, sigma, m, margins), start
+
+
+def _reduce(rays: Rays, start: np.ndarray, n: float, scale=1.0):
+    """Least margin along each ray over m >= n, for the rays' form with b scaled by
+    ``scale``, and the m attaining it (inf where it is the limit).
+
+    ``start`` holds the scaled form's own margins at m = n; a candidate
+    counts past it, where its unscaled m exceeds ``scale * n``.  The columns
+    are the start, the candidates and the limit, so a tie goes to the start.
+    """
+    margins = np.concatenate([start, np.where(rays.m > scale * n, rays.margins, np.inf)], axis=1)
+    with np.errstate(over="ignore"):  # an m past the float range is inf
+        m = np.concatenate([np.full(start.shape, n), rays.m / scale], axis=1)
+    j = np.argmin(margins, axis=1)
+    rows = np.arange(len(margins))
+    return m[rows, j], margins[rows, j]
+
+
 def _ray_minimum(form: PsiForm, region: Region, theta: np.ndarray, n_class: int):
-    """Least margin along each theta's boundary ray over m >= n_class, and the m
-    attaining it (inf where the least value is the limit as m -> inf); shapes (K,)."""
+    """Least margin along each theta's boundary ray over m >= n_class and the m
+    attaining it (inf where the least value is the limit as m -> inf), shapes (K,),
+    and the rays they were read from (None for second-order forms)."""
     n = float(n_class)
     if form.order == 2:
         # base = B0 + m B1 makes the projected distance max(0, h(m)) with
@@ -148,18 +209,9 @@ def _ray_minimum(form: PsiForm, region: Region, theta: np.ndarray, n_class: int)
         # gamma for gamma b + beta c) and coef > 0, so the vertex lies below
         # 2/3 < 1 <= n: h increases on [n, inf) and its least value is at m = n.
         dist, _, _, _ = second_order_min_distance(form, region.center, theta, np.array([n]))
-        return np.full(len(theta), n), dist[:, 0] - region.radius
-    r, sigma, _, _ = jet_arrays(theta, np.ones(1))
-    with np.errstate(all="ignore"):  # a candidate that is not finite becomes n below
-        extra, tail = region.ray_extrema(*_ray(form.value, r[:, 0], sigma[:, 0]))
-        m = np.where(np.isfinite(extra), np.maximum(n, extra), n)
-    m = np.concatenate([np.full((len(theta), 1), n), m], axis=1)
-    margins = np.concatenate([np.asarray(region.margin(form.value(r, sigma * m))),
-                              np.broadcast_to(tail, (len(theta),))[:, None]], axis=1)
-    m = np.concatenate([m, np.full((len(theta), 1), np.inf)], axis=1)
-    j = np.argmin(margins, axis=1)
-    rows = np.arange(len(theta))
-    return m[rows, j], margins[rows, j]
+        return np.full(len(theta), n), dist[:, 0] - region.radius, None
+    rays, start = _rays(form, region, theta, n)
+    return (*_reduce(rays, start, n), rays)
 
 
 def _golden_step(a, b, x1, x2, go_left):
@@ -225,9 +277,22 @@ def _polish(form, region, theta, i, n_class):
     """Golden-section search over theta for the profile minimizer, between its grid neighbours."""
     lo = float(theta[max(i - 1, 0)])
     hi = float(theta[min(i + 1, len(theta) - 1)])
-    th_star, val = _golden_min(lambda x: _ray_minimum(form, region, x, n_class)[1], lo, hi)
-    m_star = float(_ray_minimum(form, region, np.array([th_star]), n_class)[0][0])
-    return th_star, m_star, val
+    m_at = {}  # the m of every evaluated abscissa, so the minimizer's needs no new scan
+
+    def f(x):
+        m, margins, _ = _ray_minimum(form, region, x, n_class)
+        m_at.update(zip(x.tolist(), m.tolist()))
+        return margins
+
+    th_star, val = _golden_min(f, lo, hi)
+    return th_star, m_at[th_star], val
+
+
+def _profile(theta, m, margins, rays=None) -> Profile:
+    prof = Profile(theta=theta, m=m, margins=margins, argmin=int(np.argmin(margins)), rays=rays)
+    if not np.isfinite(prof.minimum):
+        raise ConfigurationError(f"the scan's minimum margin is {prof.minimum}, not finite")
+    return prof
 
 
 def scan_profile(form: PsiForm, region: Region, grid: GridSpec = GridSpec(),
@@ -239,11 +304,22 @@ def scan_profile(form: PsiForm, region: Region, grid: GridSpec = GridSpec(),
     """
     _require_pairing(form, region)
     theta = grid.theta_grid()[rows]
-    m, margins = _ray_minimum(form, region, theta, n_class)
-    prof = Profile(theta=theta, m=m, margins=margins, argmin=int(np.argmin(margins)))
-    if not np.isfinite(prof.minimum):
-        raise ConfigurationError(f"the scan's minimum margin is {prof.minimum}, not finite")
-    return prof
+    return _profile(theta, *_ray_minimum(form, region, theta, n_class))
+
+
+def scaled_profile(unit: Profile, form: PsiForm, region: Region, scale: float,
+                   n_class: int = 1, rows=slice(None)) -> Profile:
+    """The profile of ``form``, the first-order form ``unit`` was scanned with but
+    with b scaled by a real ``scale`` > 0, on ``rows`` of ``unit``, read from its rays.
+
+    No jet is built and no candidate is solved for: each row's start margin
+    is ``form``'s own, bit-identical to :func:`scan_profile`'s, and its
+    interior candidates are ``unit``'s, equal to those of a scan of ``form``
+    up to rounding.  The finiteness rule is :func:`scan_profile`'s.
+    """
+    rays, n = Rays(*(column[rows] for column in unit.rays)), float(n_class)
+    start = np.asarray(region.margin(form.value(rays.r, rays.sigma * n)))
+    return _profile(unit.theta[rows], *_reduce(rays, start, n, scale))
 
 
 def check_admissible(form: PsiForm, region: Region, grid: GridSpec = GridSpec(),

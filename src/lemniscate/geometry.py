@@ -16,8 +16,9 @@ unrestricted.
 
 Each region also names, through ``ray_extrema(a, c)``, where its margin along
 rays w = a + m c (a, c of shape (K,)) can take its least value over real m: a
-(K, j) array of m, which the admissibility scan clips to the rays' start and
-evaluates there instead of sampling m, and the margin's limit as m -> +inf.
+(K, j) array of m, at which the admissibility scan evaluates the margin
+instead of sampling m (counting those past the rays' start), and the margin's
+limit as m -> +inf.
 They are written through the parameter points m_p = (p - a)/c, the m at
 which the line passes through the point p.
 """

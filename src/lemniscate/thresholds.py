@@ -16,13 +16,21 @@ holds exactly when every theta row's least margin (over all m >= n) is at
 least ``max(-eps_adm, P(0) - tol)``, with P(0) that of the center row.  A row
 below that floor anywhere proves the certificate false.  Every uncertified
 step of the catalogued bisections has such a row on the center line (the
-admissibility failures) or next to it (the off-center minima), so ``certified_at`` is two views of
-:func:`~lemniscate.admissibility.scan_profile`: a scan of the center row and
-its two neighbours, which rejects from those three rows, then, only for steps
-the band cannot reject, the full scan, held to the same floor.  Both share the
-scan's finiteness rule: a non-finite margin is a ConfigurationError, never a
-certificate.  The search varies beta alone: each thresholded lemma takes one
-coefficient.
+admissibility failures) or next to it (the off-center minima), so
+``certified_at`` first reads the center row and its two neighbours, which
+reject from those three rows, then, only for steps the band cannot reject,
+every row, held to the same floor.
+
+Each thresholded lemma takes its one coefficient beta as beta b, so its
+boundary rays, their candidate m and the margins there are those of beta = 1
+read in u = beta m (:class:`~lemniscate.admissibility.Rays`).  A bisection
+therefore scans once, at beta = 1, through
+:func:`~lemniscate.admissibility.scan_profile`, and every step reads its rows
+from that unit profile with
+:func:`~lemniscate.admissibility.scaled_profile`: the start margin at m = n is
+the beta-form's own, the interior candidates count where u > beta n.  Both
+reads share the scan's finiteness rule: a non-finite margin is a
+ConfigurationError, never a certificate.  The search varies beta alone.
 
 The verdict is boolean and the objective is not smooth where the minimizing
 theta switches branches, so bisection is used rather than gradient steps.
@@ -36,7 +44,7 @@ from typing import Optional
 
 import numpy as np
 
-from .admissibility import ConfigurationError, GridSpec, scan_profile
+from .admissibility import ConfigurationError, GridSpec, Profile, scaled_profile, scan_profile
 from .catalog import get_lemma
 
 DEFAULT_SEARCH = (0.05, 6.0)
@@ -63,22 +71,29 @@ class ThresholdResult:
     closed_form: Optional[float]
 
 
-def certified_at(lemma_id: str, beta: float, grid: GridSpec = GridSpec()) -> bool:
+def certified_at(lemma_id: str, beta: float, grid: GridSpec = GridSpec(),
+                 unit: Optional[Profile] = None) -> bool:
     """True iff the scan is admissible and the objective minimum sits at theta = 0.
 
     That is: every row of the profile is at least ``max(-eps_adm, P(0) - tol)``,
     P(0) being the center row.  The center row and its two neighbours are rows
-    of the full scan, so a row below the floor there rejects exactly as the
-    full scan would; otherwise the full scan is held to the same floor.
-    A non-finite margin in either scan raises ConfigurationError.
+    of the full profile, so a row below the floor there rejects exactly as the
+    full profile would; otherwise the full profile is held to the same floor.
+    Both are read from ``unit``, the full-grid scan of the lemma at beta = 1,
+    which is made here when not given.  A non-finite margin in either raises
+    ConfigurationError.
     """
     lemma = get_lemma(lemma_id)
     form = lemma.make_form(beta)
+    if complex(beta).imag:
+        raise ConfigurationError(f"the certificate takes a real coefficient, got {beta!r}")
+    if unit is None:
+        unit = scan_profile(lemma.make_form(1.0), lemma.region, grid, lemma.n_class)
     c = grid.theta_points // 2
-    band = scan_profile(form, lemma.region, grid, lemma.n_class, rows=slice(c - 1, c + 2))
+    band = scaled_profile(unit, form, lemma.region, beta, lemma.n_class, rows=slice(c - 1, c + 2))
     floor = max(-grid.eps_adm, band.margins[1] - _CENTER_TOL)
     return bool(band.minimum >= floor
-                and scan_profile(form, lemma.region, grid, lemma.n_class).minimum >= floor)
+                and scaled_profile(unit, form, lemma.region, beta, lemma.n_class).minimum >= floor)
 
 
 def find_beta_threshold(lemma_id: str, search=None, tol: float = DEFAULT_TOL,
@@ -94,7 +109,8 @@ def find_beta_threshold(lemma_id: str, search=None, tol: float = DEFAULT_TOL,
     it is split at its geometric midpoint, so the step count grows with the
     log of log(hi/lo) rather than with hi.  The bisection also stops once the
     midpoint rounds onto an end of the bracket, so a sub-ulp ``tol`` yields
-    adjacent floats rather than a hang.
+    adjacent floats rather than a hang.  The search makes one full-grid scan,
+    of the form at beta = 1, and every step reads its certificate from it.
     """
     if not (np.isfinite(tol) and tol > 0.0):
         raise ConfigurationError(f"tol must be finite and positive, got {tol!r}")
@@ -106,8 +122,9 @@ def find_beta_threshold(lemma_id: str, search=None, tol: float = DEFAULT_TOL,
         raise BracketError(f"{lemma_id} holds for every admissible coefficient; "
                            "there is no threshold to bracket")
 
+    unit = scan_profile(lemma.make_form(1.0), lemma.region, grid, lemma.n_class)
     samples = np.linspace(lo, hi, 8)
-    flags = [certified_at(lemma_id, float(b), grid=grid) for b in samples]
+    flags = [certified_at(lemma_id, float(b), grid=grid, unit=unit) for b in samples]
     if flags[0] or not flags[-1]:
         raise BracketError(
             f"no certificate transition in [{lo:g}, {hi:g}] for {lemma_id}")
@@ -125,7 +142,7 @@ def find_beta_threshold(lemma_id: str, search=None, tol: float = DEFAULT_TOL,
         mid = math.sqrt(blo) * math.sqrt(bhi) if bhi > 16.0 * blo else 0.5 * (blo + bhi)
         if not blo < mid < bhi:
             break
-        if certified_at(lemma_id, mid, grid=grid):
+        if certified_at(lemma_id, mid, grid=grid, unit=unit):
             bhi = mid
         else:
             blo = mid

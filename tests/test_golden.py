@@ -2,7 +2,8 @@
 
 The files hold the stdout of ``lemniscate check`` for every lemma at its
 default coefficients, of two checks that find a witness, of
-``lemniscate threshold`` for every thresholded lemma, of
+``lemniscate threshold`` for every thresholded lemma at the default and at a
+1e-8 ``--tol``, of
 ``lemniscate verify --random 20 --seed 7`` for every lemma, and of
 ``lemniscate table --format json``.  Keys, booleans, integers and text compare
 exactly.  Floats, and the numbers inside text (the table's ``computed``
@@ -31,6 +32,8 @@ CASES = [(["check", "--lemma", lemma_id], 0) for lemma_id in sorted(LEMMAS)] + [
     (["check", "--lemma", "second-weighted", "--beta", "0.5", "--gamma", "0.1"], 2),
     (["table", "--format", "json"], 0),
 ] + [(["threshold", "--lemma", lemma_id], 0) for lemma_id in THRESHOLDED] + [
+    (["threshold", "--lemma", lemma_id, "--tol", "1e-8"], 0) for lemma_id in THRESHOLDED
+] + [
     (["verify", "--lemma", lemma_id, "--random", "20", "--seed", "7"], 0)
     for lemma_id in sorted(LEMMAS)
 ]

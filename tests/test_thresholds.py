@@ -78,8 +78,8 @@ class TestBracketErrors:
 
     def test_certificate_that_flips_back_is_not_monotone(self, monkeypatch, capsys):
         # the pre-scan samples 0.05, 0.9, 1.75, ..., 6.0 read F F T F F T T T
-        monkeypatch.setattr(thresholds, "certified_at",
-                            lambda lemma_id, beta, grid=None: 1.0 < beta < 2.0 or beta > 4.0)
+        monkeypatch.setattr(thresholds, "certified_at", lambda lemma_id, beta, grid=None,
+                            unit=None: 1.0 < beta < 2.0 or beta > 4.0)
         with pytest.raises(MonotonicityError):
             find_beta_threshold("first3")
         assert main(["threshold", "--lemma", "first3"]) == 3
@@ -95,13 +95,25 @@ def test_non_finite_scan_is_no_certificate():
             certified_at("first3", 1e300)
 
 
+@pytest.mark.parametrize("lemma_id", ["first3", "sq2", "one2"])
+def test_subnormal_coefficient_is_no_certificate(lemma_id):
+    # every candidate u of the rays at beta = 1 lies past beta n; their m = u / beta
+    # overflow to inf without a warning, and the margins there still count
+    assert not certified_at(lemma_id, 5e-324)
+
+
+def test_certificate_takes_a_real_coefficient():
+    with pytest.raises(ConfigurationError, match="real coefficient"):
+        certified_at("sq-1", 1.0 + 1.0j)
+
+
 @pytest.fixture
 def step_certificate(monkeypatch):
     """A step at beta = 1.2345 stands in for the scan; the call cap turns a
     bisection that never ends into a failure instead of a hang."""
     calls = []
 
-    def step(lemma_id, beta, grid=None):
+    def step(lemma_id, beta, grid=None, unit=None):
         calls.append(beta)
         assert len(calls) < 200, "bisection did not stop"
         return beta >= 1.2345
@@ -151,8 +163,8 @@ class TestSearchInterval:
         assert step_certificate == []
 
 
-def _full_scan_certified(lemma_id, beta, grid=GridSpec()):
-    """The certificate by definition, from the full grid scan alone."""
+def _full_scan_certified(lemma_id, beta, grid=GridSpec(), unit=None):
+    """The certificate by definition, from the full grid scan of the form at beta alone."""
     lemma = get_lemma(lemma_id)
     prof = scan_profile(lemma.make_form(beta), lemma.region, grid,
                         n_class=lemma.n_class)
@@ -163,16 +175,34 @@ def _full_scan_certified(lemma_id, beta, grid=GridSpec()):
 THRESHOLDED = sorted(k for k, lem in LEMMAS.items() if lem.threshold_ref is not None)
 
 
+@pytest.mark.parametrize("lemma_id", THRESHOLDED)
+def test_coefficient_enters_as_u_equals_beta_m(lemma_id):
+    # the premise of reading every bisection step from the rays of beta = 1:
+    # psi at beta is psi at 1 with s = m sigma scaled by beta
+    rng = np.random.default_rng(11)
+    theta = rng.uniform(-0.78, 0.78, 400)
+    m, beta = np.exp(rng.uniform(np.log(1e-3), np.log(1e3), (2, 400)))
+    r = np.sqrt(2.0 * np.cos(2.0 * theta)) * np.exp(1j * theta)
+    s = m * np.exp(3j * theta) / (2.0 * np.sqrt(2.0 * np.cos(2.0 * theta)))
+    lemma = get_lemma(lemma_id)
+    direct = np.array([lemma.make_form(b).value(a, x) for b, a, x in zip(beta, r, s)])
+    scaled = lemma.make_form(1.0).value(r, beta * s)
+    assert np.all(np.abs(direct - scaled) <= 4 * np.finfo(float).eps * np.abs(direct))
+
+
 class TestCenterBandReject:
     @pytest.mark.parametrize("lemma_id", THRESHOLDED)
     def test_agrees_with_full_scan(self, lemma_id):
-        bound = LEMMAS[lemma_id].threshold_ref
-        betas = list(np.linspace(0.05, 6.0, 25))
+        lemma = get_lemma(lemma_id)
+        bound = lemma.threshold_ref
+        betas = list(np.linspace(0.05, 6.0, 25)) + list(np.geomspace(0.05, 50.0, 60))
         betas += [bound * (1 + d) for d in (-1e-3, 1e-3, -1e-4, 1e-4)]
         betas += [bound - 1e-5, bound + 1e-5]
-        flags = [certified_at(lemma_id, float(b)) for b in betas]
-        assert flags == [_full_scan_certified(lemma_id, float(b)) for b in betas]
-        assert True in flags and False in flags
+        unit = scan_profile(lemma.make_form(1.0), lemma.region, GridSpec(), lemma.n_class)
+        shared = [certified_at(lemma_id, float(b), unit=unit) for b in betas]
+        assert shared == [_full_scan_certified(lemma_id, float(b)) for b in betas]
+        assert shared == [certified_at(lemma_id, float(b)) for b in betas]
+        assert True in shared and False in shared
 
     @pytest.mark.parametrize("lemma_id,beta", [
         ("first3", 1.0),   # lemniscate target
@@ -205,7 +235,7 @@ class TestCenterBandReject:
 
         def counting_scan(*args, **kwargs):
             prof = real_scan(*args, **kwargs)
-            scans.append(len(prof.theta))  # band scans pass through here too
+            scans.append(len(prof.theta))
             return prof
 
         monkeypatch.setattr(thresholds, "certified_at", counting_certified)
@@ -213,4 +243,4 @@ class TestCenterBandReject:
         result = find_beta_threshold("one1")
         assert result == reference
         assert len(certs) == 22
-        assert scans.count(GridSpec().theta_points) < 22
+        assert scans == [GridSpec().theta_points]  # the rays at beta = 1 serve every step

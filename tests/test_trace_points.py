@@ -29,12 +29,12 @@ def test_every_traced_name_is_defined_where_it_is_patched():
 
 
 def _count_scans(monkeypatch, module):
-    """Record the theta-row count of every scan made through ``module.scan_profile``."""
+    """Record the form and theta-row count of every scan made through ``module.scan_profile``."""
     rows, real = [], module.scan_profile
 
-    def counting(*args, **kwargs):
-        prof = real(*args, **kwargs)
-        rows.append(len(prof.theta))
+    def counting(form, *args, **kwargs):
+        prof = real(form, *args, **kwargs)
+        rows.append((form, len(prof.theta)))
         return prof
 
     monkeypatch.setattr(module, "scan_profile", counting)
@@ -45,14 +45,15 @@ def test_check_admissible_scans_through_scan_profile(monkeypatch):
     rows = _count_scans(monkeypatch, admissibility)
     lemma = get_lemma("first3")
     check_admissible(lemma.make_form(0.2), lemma.region, n_class=lemma.n_class)
-    assert rows == [GridSpec().theta_points]
+    assert rows == [(lemma.make_form(0.2), GridSpec().theta_points)]
 
 
 def test_certified_at_scans_through_scan_profile(monkeypatch):
     rows = _count_scans(monkeypatch, thresholds)
-    assert certified_at("one1", 2.0)  # the band passes, so the full scan decides
+    assert certified_at("one1", 2.0)  # the band passes, so the full profile decides
     assert not certified_at("one1", 1.0)  # the band rejects
-    assert rows == [3, GridSpec().theta_points, 3]
+    # each call on its own makes one full-grid scan, of the form at beta = 1
+    assert rows == [(get_lemma("one1").make_form(1.0), GridSpec().theta_points)] * 2
 
 
 def test_jet_counter_counts_the_points_each_scan_evaluates():
@@ -66,6 +67,6 @@ def test_jet_counter_counts_the_points_each_scan_evaluates():
         tracer.uninstall()
     calls, _, _ = tracer.totals()
     # one jet per evaluation: the scan, the search's two opening points and
-    # 12 batches of 15, then the minimizer's m at one point
+    # 12 batches of 15; the minimizer's m is read from the batch that found it
     assert tracer.counts["boundary.jet_arrays.grid_points"] == 2001 + 2 + 12 * 15
-    assert calls["boundary.jet_arrays.point"] == 1
+    assert calls["boundary.jet_arrays.point"] == 0
