@@ -24,8 +24,8 @@ where the ray starts or on the scale of b; only the start m = n does.  The
 coefficient of every thresholded lemma enters as beta b, so the form at beta
 is the form at 1 along u = beta m, and one table of the form at 1 serves every
 beta:
-:func:`scaled_profile` reads a profile from it with one margin evaluation per
-row, the start, while its candidates count only where u > beta n.
+:func:`scaled_minimum` reads the least margin from it with one margin evaluation
+per row, the start, and one minimum in which a candidate counts where u > beta n.
 
 :func:`scan_profile` is the only code that scans: it builds the theta grid,
 the table, each row's least margin and their minimum once, and a non-finite
@@ -128,7 +128,7 @@ class Profile:
 
     ``argmin`` is the row of the first least margin.  ``rays`` is the table
     the scan of a first-order form was reduced from (None for second-order
-    forms and for a profile read from another's rays).
+    forms).
     """
 
     theta: np.ndarray
@@ -180,17 +180,12 @@ def _rays(form: PsiForm, region: Region, theta: np.ndarray, n: float):
     return Rays(r, sigma, m, margins), start
 
 
-def _reduce(rays: Rays, start: np.ndarray, n: float, scale=1.0):
-    """Least margin along each ray over m >= n, for the rays' form with b scaled by
-    ``scale``, and the m attaining it (inf where it is the limit).
-
-    ``start`` holds the scaled form's own margins at m = n; a candidate
-    counts past it, where its unscaled m exceeds ``scale * n``.  The columns
-    are the start, the candidates and the limit, so a tie goes to the start.
-    """
-    margins = np.concatenate([start, np.where(rays.m > scale * n, rays.margins, np.inf)], axis=1)
-    with np.errstate(over="ignore"):  # an m past the float range is inf
-        m = np.concatenate([np.full(start.shape, n), rays.m / scale], axis=1)
+def _reduce(rays: Rays, start: np.ndarray, n: float):
+    """Least margin along each ray over m >= n and the m attaining it (inf where it
+    is the limit).  The columns are ``start``, the margins at m = n, then the
+    candidates past it and the limit, so a tie goes to the start."""
+    margins = np.concatenate([start, np.where(rays.m > n, rays.margins, np.inf)], axis=1)
+    m = np.concatenate([np.full(start.shape, n), rays.m], axis=1)
     j = np.argmin(margins, axis=1)
     rows = np.arange(len(margins))
     return m[rows, j], margins[rows, j]
@@ -288,11 +283,9 @@ def _polish(form, region, theta, i, n_class):
     return th_star, m_at[th_star], val
 
 
-def _profile(theta, m, margins, rays=None) -> Profile:
-    prof = Profile(theta=theta, m=m, margins=margins, argmin=int(np.argmin(margins)), rays=rays)
-    if not np.isfinite(prof.minimum):
-        raise ConfigurationError(f"the scan's minimum margin is {prof.minimum}, not finite")
-    return prof
+def _finite(minimum):
+    if not np.isfinite(minimum):
+        raise ConfigurationError(f"the scan's minimum margin is {minimum}, not finite")
 
 
 def scan_profile(form: PsiForm, region: Region, grid: GridSpec = GridSpec(),
@@ -304,22 +297,27 @@ def scan_profile(form: PsiForm, region: Region, grid: GridSpec = GridSpec(),
     """
     _require_pairing(form, region)
     theta = grid.theta_grid()[rows]
-    return _profile(theta, *_ray_minimum(form, region, theta, n_class))
+    m, margins, rays = _ray_minimum(form, region, theta, n_class)
+    prof = Profile(theta, m, margins, int(np.argmin(margins)), rays)
+    _finite(prof.minimum)
+    return prof
 
 
-def scaled_profile(unit: Profile, form: PsiForm, region: Region, scale: float,
-                   n_class: int = 1, rows=slice(None)) -> Profile:
-    """The profile of ``form``, the first-order form ``unit`` was scanned with but
-    with b scaled by a real ``scale`` > 0, on ``rows`` of ``unit``, read from its rays.
+def scaled_minimum(rays: Rays, form: PsiForm, region: Region, scale: float,
+                   n_class: int = 1, axis=None):
+    """Least margin over m >= ``n_class``, over all rows (``axis=None``) or per row
+    (``axis=1``), of ``form``: the form ``rays`` were scanned with, b scaled by ``scale``.
 
-    No jet is built and no candidate is solved for: each row's start margin
-    is ``form``'s own, bit-identical to :func:`scan_profile`'s, and its
-    interior candidates are ``unit``'s, equal to those of a scan of ``form``
-    up to rounding.  The finiteness rule is :func:`scan_profile`'s.
+    The start margin is ``form``'s own, bit-identical to :func:`scan_profile`'s;
+    a candidate counts where its unscaled m exceeds ``scale * n``.  The
+    finiteness rule is :func:`scan_profile`'s.
     """
-    rays, n = Rays(*(column[rows] for column in unit.rays)), float(n_class)
+    n = float(n_class)
     start = np.asarray(region.margin(form.value(rays.r, rays.sigma * n)))
-    return _profile(unit.theta[rows], *_reduce(rays, start, n, scale))
+    least = np.minimum(start.min(axis),
+                       np.where(rays.m > scale * n, rays.margins, np.inf).min(axis))
+    _finite(least.min())  # min propagates a NaN, so a NaN anywhere counts
+    return least
 
 
 def check_admissible(form: PsiForm, region: Region, grid: GridSpec = GridSpec(),

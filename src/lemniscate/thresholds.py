@@ -25,12 +25,11 @@ Each thresholded lemma takes its one coefficient beta as beta b, so its
 boundary rays, their candidate m and the margins there are those of beta = 1
 read in u = beta m (:class:`~lemniscate.admissibility.Rays`).  A bisection
 therefore scans once, at beta = 1, through
-:func:`~lemniscate.admissibility.scan_profile`, and every step reads its rows
-from that unit profile with
-:func:`~lemniscate.admissibility.scaled_profile`: the start margin at m = n is
-the beta-form's own, the interior candidates count where u > beta n.  Both
-reads share the scan's finiteness rule: a non-finite margin is a
-ConfigurationError, never a certificate.  The search varies beta alone.
+:func:`~lemniscate.admissibility.scan_profile`, and every step reads the least
+margin of its rows from that table with
+:func:`~lemniscate.admissibility.scaled_minimum`: one start margin per row, the
+beta-form's own at m = n, and one minimum over the candidates past u = beta n.
+A non-finite minimum is a ConfigurationError, never a certificate.
 
 The verdict is boolean and the objective is not smooth where the minimizing
 theta switches branches, so bisection is used rather than gradient steps.
@@ -44,12 +43,14 @@ from typing import Optional
 
 import numpy as np
 
-from .admissibility import ConfigurationError, GridSpec, Profile, scaled_profile, scan_profile
+from .admissibility import (ConfigurationError, GridSpec, Profile, Rays, scaled_minimum,
+                           scan_profile)
 from .catalog import get_lemma
 
 DEFAULT_SEARCH = (0.05, 6.0)
 DEFAULT_TOL = 1e-4
 _CENTER_TOL = 1e-12
+_SCALES_B = ("beta", "beta-complex")  # the catalogued params that enter as beta b
 
 
 class BracketError(RuntimeError):
@@ -71,6 +72,11 @@ class ThresholdResult:
     closed_form: Optional[float]
 
 
+def _unit_scan(lemma, grid: GridSpec, rows=slice(None)) -> Profile:
+    """The scan of the lemma's form at beta = 1 on ``rows`` of the grid."""
+    return scan_profile(lemma.make_form(1.0), lemma.region, grid, lemma.n_class, rows=rows)
+
+
 def certified_at(lemma_id: str, beta: float, grid: GridSpec = GridSpec(),
                  unit: Optional[Profile] = None) -> bool:
     """True iff the scan is admissible and the objective minimum sits at theta = 0.
@@ -78,22 +84,30 @@ def certified_at(lemma_id: str, beta: float, grid: GridSpec = GridSpec(),
     That is: every row of the profile is at least ``max(-eps_adm, P(0) - tol)``,
     P(0) being the center row.  The center row and its two neighbours are rows
     of the full profile, so a row below the floor there rejects exactly as the
-    full profile would; otherwise the full profile is held to the same floor.
-    Both are read from ``unit``, the full-grid scan of the lemma at beta = 1,
-    which is made here when not given.  A non-finite margin in either raises
-    ConfigurationError.
+    full profile would; otherwise every row is held to the same floor.  Both are
+    read from ``unit``, the full-grid scan of the lemma at beta = 1; without it,
+    three rows at beta = 1 are scanned, and the full grid only if they pass.
+    A lemma whose coefficient does not enter as beta b is a ConfigurationError,
+    raised before any scan, and so is a non-finite margin in either read.
     """
     lemma = get_lemma(lemma_id)
+    if lemma.params not in _SCALES_B:
+        raise ConfigurationError(f"{lemma_id} has no coefficient beta that scales b, "
+                                 "so it has no certificate in beta")
     form = lemma.make_form(beta)
     if complex(beta).imag:
         raise ConfigurationError(f"the certificate takes a real coefficient, got {beta!r}")
-    if unit is None:
-        unit = scan_profile(lemma.make_form(1.0), lemma.region, grid, lemma.n_class)
     c = grid.theta_points // 2
-    band = scaled_profile(unit, form, lemma.region, beta, lemma.n_class, rows=slice(c - 1, c + 2))
-    floor = max(-grid.eps_adm, band.margins[1] - _CENTER_TOL)
-    return bool(band.minimum >= floor
-                and scaled_profile(unit, form, lemma.region, beta, lemma.n_class).minimum >= floor)
+    band = slice(c - 1, c + 2)
+    rays = (Rays(*(column[band] for column in unit.rays)) if unit is not None
+            else _unit_scan(lemma, grid, rows=band).rays)
+    least = scaled_minimum(rays, form, lemma.region, beta, lemma.n_class, axis=1)
+    floor = max(-grid.eps_adm, least[1] - _CENTER_TOL)
+    if not least.min() >= floor:
+        return False
+    if unit is None:
+        unit = _unit_scan(lemma, grid)
+    return bool(scaled_minimum(unit.rays, form, lemma.region, beta, lemma.n_class) >= floor)
 
 
 def find_beta_threshold(lemma_id: str, search=None, tol: float = DEFAULT_TOL,
@@ -122,7 +136,7 @@ def find_beta_threshold(lemma_id: str, search=None, tol: float = DEFAULT_TOL,
         raise BracketError(f"{lemma_id} holds for every admissible coefficient; "
                            "there is no threshold to bracket")
 
-    unit = scan_profile(lemma.make_form(1.0), lemma.region, grid, lemma.n_class)
+    unit = _unit_scan(lemma, grid)
     samples = np.linspace(lo, hi, 8)
     flags = [certified_at(lemma_id, float(b), grid=grid, unit=unit) for b in samples]
     if flags[0] or not flags[-1]:

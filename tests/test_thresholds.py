@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -107,6 +109,16 @@ def test_certificate_takes_a_real_coefficient():
         certified_at("sq-1", 1.0 + 1.0j)
 
 
+@pytest.mark.parametrize("lemma_id", ["ex1", "ex2", "ex3", "second-sum", "second-sqsum"])
+def test_lemma_without_a_scaling_coefficient_has_no_certificate(monkeypatch, lemma_id):
+    def no_scan(*args, **kwargs):
+        raise AssertionError("scanned before rejecting the lemma")
+
+    monkeypatch.setattr(thresholds, "scan_profile", no_scan)
+    with pytest.raises(ConfigurationError, match="no coefficient beta"):
+        certified_at(lemma_id, None)
+
+
 @pytest.fixture
 def step_certificate(monkeypatch):
     """A step at beta = 1.2345 stands in for the scan; the call cap turns a
@@ -173,11 +185,13 @@ def _full_scan_certified(lemma_id, beta, grid=GridSpec(), unit=None):
 
 
 THRESHOLDED = sorted(k for k, lem in LEMMAS.items() if lem.threshold_ref is not None)
+# every lemma certified_at accepts, the thresholded ones among them
+SCALES_B = sorted(k for k, lem in LEMMAS.items() if lem.params in thresholds._SCALES_B)
 
 
-@pytest.mark.parametrize("lemma_id", THRESHOLDED)
+@pytest.mark.parametrize("lemma_id", SCALES_B)
 def test_coefficient_enters_as_u_equals_beta_m(lemma_id):
-    # the premise of reading every bisection step from the rays of beta = 1:
+    # the premise of reading every certificate step from the rays of beta = 1:
     # psi at beta is psi at 1 with s = m sigma scaled by beta
     rng = np.random.default_rng(11)
     theta = rng.uniform(-0.78, 0.78, 400)
@@ -190,15 +204,24 @@ def test_coefficient_enters_as_u_equals_beta_m(lemma_id):
     assert np.all(np.abs(direct - scaled) <= 4 * np.finfo(float).eps * np.abs(direct))
 
 
+def _betas(lemma):
+    """91 coefficients across the default interval and on both sides of the bound."""
+    bound = lemma.threshold_ref
+    betas = list(np.linspace(0.05, 6.0, 25)) + list(np.geomspace(0.05, 50.0, 60))
+    betas += [bound * (1 + d) for d in (-1e-3, 1e-3, -1e-4, 1e-4)]
+    return betas + [bound - 1e-5, bound + 1e-5]
+
+
+def _unit(lemma):
+    return scan_profile(lemma.make_form(1.0), lemma.region, GridSpec(), lemma.n_class)
+
+
 class TestCenterBandReject:
     @pytest.mark.parametrize("lemma_id", THRESHOLDED)
     def test_agrees_with_full_scan(self, lemma_id):
         lemma = get_lemma(lemma_id)
-        bound = lemma.threshold_ref
-        betas = list(np.linspace(0.05, 6.0, 25)) + list(np.geomspace(0.05, 50.0, 60))
-        betas += [bound * (1 + d) for d in (-1e-3, 1e-3, -1e-4, 1e-4)]
-        betas += [bound - 1e-5, bound + 1e-5]
-        unit = scan_profile(lemma.make_form(1.0), lemma.region, GridSpec(), lemma.n_class)
+        betas = _betas(lemma)
+        unit = _unit(lemma)
         shared = [certified_at(lemma_id, float(b), unit=unit) for b in betas]
         assert shared == [_full_scan_certified(lemma_id, float(b)) for b in betas]
         assert shared == [certified_at(lemma_id, float(b)) for b in betas]
@@ -244,3 +267,70 @@ class TestCenterBandReject:
         assert result == reference
         assert len(certs) == 22
         assert scans == [GridSpec().theta_points]  # the rays at beta = 1 serve every step
+
+
+def _profile_read_certified(lemma_id, beta, unit):
+    """The certificate as each step read it before: the least margin of each band
+    row and then of every row, from the unit rays by a per-row argmin."""
+    lemma, grid = get_lemma(lemma_id), GridSpec()
+    form, n = lemma.make_form(beta), float(lemma.n_class)
+
+    def least(rows):
+        r, sigma, m, margins = (column[rows] for column in unit.rays)
+        start = np.asarray(lemma.region.margin(form.value(r, sigma * n)))
+        margins = np.concatenate([start, np.where(m > beta * n, margins, np.inf)], axis=1)
+        j = np.argmin(margins, axis=1)
+        rows_least = margins[np.arange(len(margins)), j]
+        lowest = rows_least[np.argmin(rows_least)]
+        if not np.isfinite(lowest):
+            raise ConfigurationError("not finite")
+        return rows_least, lowest
+
+    c = grid.theta_points // 2
+    band, band_least = least(slice(c - 1, c + 2))
+    floor = max(-grid.eps_adm, band[1] - 1e-12)
+    return bool(band_least >= floor and least(slice(None))[1] >= floor)
+
+
+def _outcome(certify, *args):
+    try:
+        return certify(*args)
+    except ConfigurationError:
+        return "ConfigurationError"
+
+
+class TestMarginsOnlyRead:
+    @pytest.mark.parametrize("lemma_id", THRESHOLDED)
+    def test_agrees_with_the_profile_read(self, lemma_id):
+        lemma = get_lemma(lemma_id)
+        unit = _unit(lemma)
+        for beta in _betas(lemma) + [5e-324, 1e-300, 1e-30]:
+            assert (_outcome(certified_at, lemma_id, float(beta), GridSpec(), unit)
+                    == _outcome(_profile_read_certified, lemma_id, float(beta), unit)), beta
+
+    @staticmethod
+    def _unit_with(lemma_id, edit):
+        """The unit profile of the lemma with its table's margins edited in a copy."""
+        unit = _unit(get_lemma(lemma_id))
+        margins = unit.rays.margins.copy()
+        edit(margins)
+        return dataclasses.replace(unit, rays=unit.rays._replace(margins=margins))
+
+    def test_nan_off_the_band_raises_only_when_the_band_passes(self):
+        def nan_in_first_row_limit(margins):  # the limit column always counts
+            margins[0, -1] = np.nan
+
+        unit = self._unit_with("one1", nan_in_first_row_limit)
+        with pytest.raises(ConfigurationError, match="nan, not finite"):
+            certified_at("one1", 2.0, unit=unit)
+        assert certified_at("one1", 1.0, unit=unit) is False  # the band rejects first
+
+    def test_all_inf_table_raises(self):
+        def all_inf(margins):
+            margins[:] = np.inf
+
+        unit = self._unit_with("first3", all_inf)
+        # at beta = 1e300 the start overflows to inf too, so nothing finite is left
+        with np.errstate(over="ignore", invalid="ignore"):
+            with pytest.raises(ConfigurationError, match="inf, not finite"):
+                certified_at("first3", 1e300, unit=unit)

@@ -8,8 +8,10 @@ with KeyError, and a scan that bypassed ``scan_profile`` would go uncounted.
 import importlib.util
 from pathlib import Path
 
+import pytest
+
 from lemniscate import admissibility, thresholds
-from lemniscate.admissibility import GridSpec, check_admissible
+from lemniscate.admissibility import GridSpec, check_admissible, scan_profile
 from lemniscate.catalog import get_lemma
 from lemniscate.thresholds import certified_at
 
@@ -51,9 +53,33 @@ def test_check_admissible_scans_through_scan_profile(monkeypatch):
 def test_certified_at_scans_through_scan_profile(monkeypatch):
     rows = _count_scans(monkeypatch, thresholds)
     assert certified_at("one1", 2.0)  # the band passes, so the full profile decides
+    unit = get_lemma("one1").make_form(1.0)
+    assert rows == [(unit, 3), (unit, GridSpec().theta_points)]
+    rows.clear()
     assert not certified_at("one1", 1.0)  # the band rejects
-    # each call on its own makes one full-grid scan, of the form at beta = 1
-    assert rows == [(get_lemma("one1").make_form(1.0), GridSpec().theta_points)] * 2
+    # a call on its own scans the band at beta = 1, and the full grid only if it passes
+    assert rows == [(unit, 3)]
+
+
+@pytest.mark.parametrize("beta,points", [
+    (1.0, 3),  # the band rejects
+    (2.0, 3 + GridSpec().theta_points),  # the band passes and every row decides
+])
+def test_a_step_evaluates_only_its_start_margins(beta, points):
+    lemma = get_lemma("one1")
+    unit = scan_profile(lemma.make_form(1.0), lemma.region, GridSpec(), lemma.n_class)
+    tracer = _spans_module().Tracer()
+    tracer.install()
+    tracer.active = True
+    try:
+        certified_at("one1", beta, unit=unit)
+    finally:
+        tracer.uninstall()
+    calls, _, _ = tracer.totals()
+    # no jet: each row read costs one margin, at m = n, and the rest is the table's
+    assert calls["boundary.jet_arrays.grid"] + calls["boundary.jet_arrays.point"] == 0
+    assert calls["admissibility.scan_profile"] == 0
+    assert tracer.counts["geometry.margin.points"] == points
 
 
 def test_jet_counter_counts_the_points_each_scan_evaluates():
