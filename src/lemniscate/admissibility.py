@@ -8,13 +8,16 @@ point-to-half-plane projection rather than sampling.  Points within
 inequalities are non-strict there, and several of them touch the boundary
 exactly (at theta = 0, m = 1).
 
-m is not sampled.  Every catalogued psi is affine in b = s = m sigma(theta),
-so at each theta the boundary image is the ray A(theta) + m C(theta) over
-m in [n, inf), and its least margin sits at m = n, at one of the few m its
-region names (``ray_extrema`` in :mod:`lemniscate.geometry`), or in a limit
-as m -> inf.  For second-order forms the t-projected distance is max(0, h(m))
-with h a quadratic of positive leading coefficient whose vertex, for every
-catalogued form, lies below m = 1, so its least value is at m = n.  One
+m is not sampled.  Every catalogued first-order psi is defined as
+lead(a) + slope(a, b) with slope linear in b (:mod:`lemniscate.catalog`), so
+at each theta the boundary image over b = s = m sigma(theta) is the ray
+A + m C, A = lead(r) and C = slope(r, sigma), over m in [n, inf); both are
+read from the form, not probed.  Its least margin sits at m = n, at one of
+the few m its region names (``ray_extrema`` in :mod:`lemniscate.geometry`),
+or in a limit as m -> inf.  For second-order forms the t-projected distance
+is max(0, h(m)) with h a quadratic of positive leading coefficient whose
+vertex, for every catalogued form, lies below m = 1, so its least value is at
+m = n.  One
 boundary jet per scan serves every candidate m, so the profile is 1-D over
 theta.
 
@@ -147,31 +150,13 @@ def _require_pairing(form: PsiForm, region: Region) -> None:
         raise ConfigurationError("second-order forms are checked against disk targets only")
 
 
-def _ray(f, r, sigma):
-    """(A, C) with f(r, m sigma) = A + m C, for f affine in its second slot.
-
-    C is read off the step to T sigma, T a power of two raised per row until
-    |T C| >= |A|, so the difference does not cancel: a unit step leaves
-    f(r, sigma) == f(r, 0) for first4 at beta = 1e-30.
-    """
-    a = f(r, 0.0 * sigma)
-    t = np.ones(np.shape(a))
-    while True:
-        d = f(r, t * sigma) - a
-        short = (np.abs(d) < np.abs(a)) & (t < 2.0**1000)
-        if not short.any():
-            return a, d / t
-        # |d| is about t |C| unless the step was lost below an ulp of A entirely
-        step = np.where(d == 0.0, 50, np.frexp(np.abs(a))[1] - np.frexp(np.abs(d))[1] + 1)
-        t = np.where(short, np.ldexp(t, np.minimum(step, 1020 - np.frexp(t)[1])), t)
-
-
 def _rays(form: PsiForm, region: Region, theta: np.ndarray, n: float):
     """The rays of ``form`` on each theta and its margins at their start m = n, shape
     (K, 1): one jet and one margin evaluation."""
     r, sigma, _, _ = jet_arrays(theta, np.ones(1))
     with np.errstate(all="ignore"):  # a candidate that is not finite and positive never counts
-        extra, tail = region.ray_extrema(*_ray(form.value, r[:, 0], sigma[:, 0]))
+        c = form.slope(r[:, 0], sigma[:, 0])
+        extra, tail = region.ray_extrema(np.broadcast_to(form.lead(r[:, 0]), c.shape), c)
         m = np.where(np.isfinite(extra) & (extra > 0.0), extra, 0.0)
     m = np.concatenate([m, np.full((len(theta), 1), n)], axis=1)
     margins = np.asarray(region.margin(form.value(r, sigma * m)))

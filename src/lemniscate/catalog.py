@@ -10,6 +10,14 @@ expressions in sec(2*theta) and friends, kept so that direct evaluation of
 psi at the boundary jet can be cross-checked against them (the two routes
 must agree to roundoff).
 
+Every functional is affine in its last slot, and each form says so by how it
+is written.  A first-order form defines psi(a, b) = lead(a) + slope(a, b)
+with slope linear in b, so on the boundary jet b = m sigma its image is the
+ray lead(r) + m slope(r, sigma), which the admissibility scan reads in closed
+form.  A second-order form defines psi(a, b, c) = base(a, b) + t_coefficient*c.
+``value`` is the sum in both cases, the one definition of psi that the
+scanner and the falsifier's series path both evaluate.
+
 The catalog is a closed enumeration keyed by stable string ids; extending it
 is a code change by design, since every entry couples a functional shape, a
 target region, an objective kind, and a tabulated constant.
@@ -70,8 +78,22 @@ def _as_real_beta(beta, who: str) -> float:
 # functional forms
 
 
+class _FirstOrder:
+    """psi(a, b) = lead(a) + slope(a, b), with slope linear in b.
+
+    Affine in b by construction, which is what the exact m of the
+    admissibility scan relies on: along b = m sigma the image is the ray
+    lead(r) + m slope(r, sigma).
+    """
+
+    order = 1
+
+    def value(self, a, b):
+        return self.lead(a) + self.slope(a, b)
+
+
 @dataclass(frozen=True)
-class FirstOrderPlus:
+class FirstOrderPlus(_FirstOrder):
     """psi(a, b) = a + beta * b / a^n for n in 0..4."""
 
     n: int
@@ -82,14 +104,15 @@ class FirstOrderPlus:
             raise ParameterError("exponent n must be one of 0..4")
         object.__setattr__(self, "beta", _as_real_beta(self.beta, "a + beta*b/a^n"))
 
-    order = 1
+    def lead(self, a):
+        return a
 
-    def value(self, a, b):
-        return a + self.beta * b / a**self.n if self.n else a + self.beta * b
+    def slope(self, a, b):
+        return self.beta * b / a**self.n if self.n else self.beta * b
 
 
 @dataclass(frozen=True)
-class SquarePlus:
+class SquarePlus(_FirstOrder):
     """psi(a, b) = a^2 + beta * b / a^n for n in -1..2 (n = -1 is a^2 + beta*a*b).
 
     beta may be complex (with Re beta > 0) only in the n = -1 case.
@@ -109,18 +132,19 @@ class SquarePlus:
         else:
             object.__setattr__(self, "beta", _as_real_beta(b, "a^2 + beta*b/a^n"))
 
-    order = 1
+    def lead(self, a):
+        return a * a
 
-    def value(self, a, b):
+    def slope(self, a, b):
         if self.n == -1:
-            return a * a + self.beta * a * b
+            return self.beta * a * b
         if self.n == 0:
-            return a * a + self.beta * b
-        return a * a + self.beta * b / a**self.n
+            return self.beta * b
+        return self.beta * b / a**self.n
 
 
 @dataclass(frozen=True)
-class SquareRational:
+class SquareRational(_FirstOrder):
     """psi(a, b) = a^2 + b / (beta*a + gamma), beta, gamma > 0."""
 
     beta: float
@@ -130,14 +154,15 @@ class SquareRational:
         object.__setattr__(self, "beta", _as_real_beta(self.beta, "a^2 + b/(beta*a+gamma)"))
         object.__setattr__(self, "gamma", _as_real_beta(self.gamma, "a^2 + b/(beta*a+gamma)"))
 
-    order = 1
+    def lead(self, a):
+        return a * a
 
-    def value(self, a, b):
-        return a * a + b / (self.beta * a + self.gamma)
+    def slope(self, a, b):
+        return b / (self.beta * a + self.gamma)
 
 
 @dataclass(frozen=True)
-class OnePlus:
+class OnePlus(_FirstOrder):
     """psi(a, b) = 1 + beta * b / a^n for n in 0..2."""
 
     n: int
@@ -148,19 +173,21 @@ class OnePlus:
             raise ParameterError("exponent n must be one of 0, 1, 2")
         object.__setattr__(self, "beta", _as_real_beta(self.beta, "1 + beta*b/a^n"))
 
-    order = 1
+    def lead(self, a):
+        return 1.0
 
-    def value(self, a, b):
-        return 1.0 + self.beta * b / a**self.n if self.n else 1.0 + self.beta * b
+    def slope(self, a, b):
+        return self.beta * b / a**self.n if self.n else self.beta * b
 
 
 @dataclass(frozen=True)
-class DerivOverP:
+class DerivOverP(_FirstOrder):
     """psi(a, b) = b / a."""
 
-    order = 1
+    def lead(self, a):
+        return 0.0
 
-    def value(self, a, b):
+    def slope(self, a, b):
         return b / a
 
 

@@ -88,8 +88,15 @@ def _real_cubic_roots(b, c, d):
     return np.where((disc < 0.0)[..., None], three, one[..., None]) - (b / 3.0)[..., None]
 
 
+class _Region:
+    """Membership from the signed margin: inside exactly where it is negative."""
+
+    def contains(self, w):
+        return self.margin(w) < 0.0
+
+
 @dataclass(frozen=True)
-class LemniscateDelta:
+class LemniscateDelta(_Region):
     """Open interior of the right lemniscate loop: |w^2-1| < 1 and Re w > 0."""
 
     @property
@@ -125,15 +132,12 @@ class LemniscateDelta:
                                   -0.5 * (xp * qm + xm * qp))
         return np.ldexp(roots, e[..., None]), np.inf
 
-    def contains(self, w):
-        return self.margin(w) < 0.0
-
     def describe(self) -> str:
         return "{w : |w^2-1| < 1, Re w > 0}"
 
 
 @dataclass(frozen=True)
-class Disk:
+class Disk(_Region):
     """Open disk |w - center| < radius."""
 
     center: complex
@@ -155,15 +159,12 @@ class Disk:
         """|a + m c - center| = |c| |m - m_center|, least at m = Re m_center; +inf at infinity."""
         return ((self.center - a) / c).real[..., None], np.inf
 
-    def contains(self, w):
-        return self.margin(w) < 0.0
-
     def describe(self) -> str:
         return f"{{w : |w - {self.center:g}| < {self.radius:.9g}}}"
 
 
 @dataclass(frozen=True)
-class HalfPlaneReLess:
+class HalfPlaneReLess(_Region):
     """Open half-plane Re w < bound."""
 
     bound: float
@@ -184,15 +185,12 @@ class HalfPlaneReLess:
         """
         return np.empty(np.shape(a) + (0,)), np.where(c.real < 0.0, -np.inf, np.inf)
 
-    def contains(self, w):
-        return self.margin(w) < 0.0
-
     def describe(self) -> str:
         return f"{{w : Re w < {self.bound:.9g}}}"
 
 
 @dataclass(frozen=True)
-class MoebiusDisk:
+class MoebiusDisk(_Region):
     """Image of the unit disk under (2+z)/(2-z): |2(w-1)/(w+1)| < 1.
 
     The defining map has a pole at w = -1; asking for the margin there is an
@@ -223,9 +221,6 @@ class MoebiusDisk:
         a2, a1, a0 = xp - xm, qm - qp, xm * qp - xp * qm
         s = -0.5 * (a1 + np.copysign(np.sqrt(a1 * a1 - 4.0 * a2 * a0), a1))
         return np.ldexp(np.stack([s / a2, a0 / s], axis=-1), e[..., None]), 1.0
-
-    def contains(self, w):
-        return self.margin(w) < 0.0
 
     def describe(self) -> str:
         return "{w : |2(w-1)/(w+1)| < 1}"

@@ -222,7 +222,11 @@ class TruncatedSeries:
     @classmethod
     def from_json(cls, text: str) -> "TruncatedSeries":
         pairs = json.loads(text)
-        return cls(np.array([complex(re, im) for re, im in pairs]))
+        try:
+            coeffs = [complex(re, im) for re, im in pairs]
+        except (TypeError, ValueError):
+            raise ValueError("expected a JSON list of [re, im] pairs of real numbers") from None
+        return cls(np.array(coeffs))
 
 
 def sqrt_one_plus_z_series(order: int) -> TruncatedSeries:

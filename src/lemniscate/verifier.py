@@ -201,12 +201,10 @@ def random_normalized_p(order: int, seed: int, n_class: int = 1) -> TruncatedSer
 
 
 def random_normalized_f(order: int, seed: int) -> TruncatedSeries:
-    """Random polynomial f with f(0) = 0, f'(0) = 1 and |a_k| <= 0.5/k^2."""
-    rng = np.random.default_rng(seed)
-    c = np.zeros(order + 1, dtype=np.complex128)
-    c[1] = 1.0
-    for k in range(2, order + 1):
-        mag = 0.5 / k**2 * rng.uniform(0.0, 1.0)
-        phase = rng.uniform(0.0, 2.0 * np.pi)
-        c[k] = mag * np.exp(1j * phase)
+    """Random polynomial f with f(0) = 0, f'(0) = 1 and |a_k| <= 0.5/k^2.
+
+    Its coefficients from z^2 on are those of ``random_normalized_p(order, seed, 2)``.
+    """
+    c = random_normalized_p(order, seed, n_class=2).coeffs.copy()
+    c[0], c[1] = 0.0, 1.0
     return TruncatedSeries(c)

@@ -5,8 +5,7 @@ import pytest
 
 from lemniscate import admissibility
 from lemniscate.admissibility import (_GOLDEN, ConfigurationError, GridSpec,
-                                      _golden_min, _ray,
-                                      _ray_minimum, check_admissible,
+                                      _golden_min, _ray_minimum, check_admissible,
                                       min_over_t, scan_profile)
 from lemniscate.boundary import jet_arrays, make_triple
 from lemniscate.catalog import (LEMMAS, FirstOrderPlus, SecondOrderSum,
@@ -244,14 +243,28 @@ class TestScanProfile:
 
 
 @pytest.mark.parametrize("beta", [1e-300, 1e-30, 1.0, 1e100])
-def test_ray_step_does_not_cancel(beta):
-    # at beta = 1e-30 a unit step of b changes psi = a + beta b/a^4 by less than an ulp
+def test_ray_slope_does_not_cancel(beta):
+    # at beta = 1e-30, psi = a + beta b/a^4 at b = sigma rounds to a; the slope is not a difference
     r, sigma, _, _ = jet_arrays(FAST.theta_grid()[::50], np.ones(1))
     r, sigma = r[:, 0], sigma[:, 0]
-    a, c = _ray(FirstOrderPlus(4, beta).value, r, sigma)
-    assert np.array_equal(a, r)
-    exact = beta * sigma / r**4
-    assert np.max(np.abs(c - exact) / np.abs(exact)) < 1e-14
+    form = FirstOrderPlus(4, beta)
+    assert np.array_equal(form.lead(r), r)
+    assert np.array_equal(form.slope(r, sigma), beta * sigma / r**4)
+
+
+def test_slope_is_linear_in_b():
+    # the scan reads the ray lead(r) + m slope(r, sigma) for b = m sigma
+    r, sigma, _, _ = jet_arrays(FAST.theta_grid()[::50], np.ones(1))
+    r, sigma = r[:, 0], sigma[:, 0]
+    for lemma_id, beta, gamma in SAMPLED:
+        lemma = get_lemma(lemma_id)
+        if lemma.order != 1:
+            continue
+        form = lemma.make_form(beta, gamma)
+        for m in (1.0, 2.5, 1e3):
+            scaled = m * form.slope(r, sigma)
+            err = np.abs(form.slope(r, m * sigma) - scaled) / np.abs(scaled)
+            assert np.max(err) <= 1e-14, (lemma_id, beta, gamma, m)
 
 
 def dense_margins(form, region, theta, m):
@@ -295,8 +308,7 @@ class TestGridHygiene:
             if lemma.order != 2:
                 continue
             form = lemma.make_form(beta, gamma)
-            _, b1 = _ray(form.base, r, sigma)
-            kappa = b1 / sigma
+            kappa = (form.base(r, sigma) - form.base(r, 0.0 * sigma)) / sigma
             assert np.all(np.abs(kappa.imag) <= 1e-12 * np.abs(kappa)), (lemma_id, beta, gamma)
             assert np.all(kappa.real > 0.0), (lemma_id, beta, gamma)
             prof = scan_profile(form, lemma.region, FAST, lemma.n_class)

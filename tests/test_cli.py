@@ -301,6 +301,16 @@ class TestVerify:
         assert out == ""
         assert "finite" in err
 
+    @pytest.mark.parametrize("text", ["[1, 2]", '[[1, "x"]]'])
+    def test_malformed_p_is_usage_error(self, capsys, tmp_path, text):
+        path = tmp_path / "p.json"
+        path.write_text(text)
+        code, out, err = run(capsys, "verify", "--lemma", "first0", "--p-json", str(path))
+        assert code == 1
+        assert out == ""
+        assert err.startswith("error:") and err.count("\n") == 1
+        assert "[re, im]" in err
+
     def test_missing_p_file_is_usage_error(self, capsys, tmp_path):
         code, out, err = run(capsys, "verify", "--lemma", "first0",
                              "--p-json", str(tmp_path / "missing.json"))
