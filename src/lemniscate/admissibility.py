@@ -40,6 +40,15 @@ verdict is a view of it, and the bisection certificate
 profile minimizer that tightens the reported minimum and the violation
 witness; it can only lower the minimum, never raise it.  Each evaluation of
 the profile serves four of its steps (see :func:`_golden_min`).
+
+One row function, :func:`_ray_minimum`, serves the scan and the polish; each
+passes in the jet it reads.  The scan passes :func:`jet_arrays`, which
+checks the grid's theta.  The polish's bracket lies inside that grid, so it
+is checked once and every evaluation passes the unchecked
+:func:`~lemniscate.boundary.unit_jet`, the formula :func:`jet_arrays` is
+built on.  A ray whose line parameter overflows (a subnormal slope, from a
+beta near the bottom of the float range) has lost its candidates, so its
+limit is NaN and the scan refuses it.
 """
 
 from __future__ import annotations
@@ -50,9 +59,9 @@ from typing import NamedTuple, Optional
 import numpy as np
 
 from .boundary import (THETA_EPS, ConfigurationError, check_theta_margin,
-                       jet_arrays, make_triple, theta_grid)
+                       jet_arrays, make_triple, theta_grid, unit_jet)
 from .catalog import ArityError, PsiForm, evaluate, second_order_min_distance
-from .geometry import Disk, Region
+from .geometry import Disk, Region, check_theta
 
 _GOLDEN = (np.sqrt(5.0) - 1.0) / 2.0
 _GOLDEN_ITERS = 48  # steps of the golden-section search in the polish
@@ -112,10 +121,11 @@ class Rays(NamedTuple):
     Per theta row: the jet r and sigma (shapes (K, 1)), then the m its region
     names along the ray A + m C (``ray_extrema``; 0 where a candidate is not
     finite and positive, so it never counts) and last m = inf, and the
-    margins there, the last being the margin's limit (shapes (K, J + 1)).  A
-    form that takes its coefficient beta as beta b is the unit form along
-    u = beta m: its ray is the same line, its candidates are u / beta and its
-    margins there are the unit form's.  Only the start m = n moves.
+    margins there, the last being the margin's limit (shapes (K, J + 1),
+    views of the scan's columns past the start).  A form that takes its
+    coefficient beta as beta b is the unit form along u = beta m: its ray is
+    the same line, its candidates are u / beta and its margins there are the
+    unit form's.  Only the start m = n moves.
     """
 
     r: np.ndarray
@@ -150,36 +160,17 @@ def _require_pairing(form: PsiForm, region: Region) -> None:
         raise ConfigurationError("second-order forms are checked against disk targets only")
 
 
-def _rays(form: PsiForm, region: Region, theta: np.ndarray, n: float):
-    """The rays of ``form`` on each theta and its margins at their start m = n, shape
-    (K, 1): one jet and one margin evaluation."""
-    r, sigma, _, _ = jet_arrays(theta, np.ones(1))
-    with np.errstate(all="ignore"):  # a candidate that is not finite and positive never counts
-        c = form.slope(r[:, 0], sigma[:, 0])
-        extra, tail = region.ray_extrema(np.broadcast_to(form.lead(r[:, 0]), c.shape), c)
-        m = np.where(np.isfinite(extra) & (extra > 0.0), extra, 0.0)
-    m = np.concatenate([m, np.full((len(theta), 1), n)], axis=1)
-    margins = np.asarray(region.margin(form.value(r, sigma * m)))
-    start = margins[:, -1:].copy()
-    m[:, -1], margins[:, -1] = np.inf, tail
-    return Rays(r, sigma, m, margins), start
-
-
-def _reduce(rays: Rays, start: np.ndarray, n: float):
-    """Least margin along each ray over m >= n and the m attaining it (inf where it
-    is the limit).  The columns are ``start``, the margins at m = n, then the
-    candidates past it and the limit, so a tie goes to the start."""
-    margins = np.concatenate([start, np.where(rays.m > n, rays.margins, np.inf)], axis=1)
-    m = np.concatenate([np.full(start.shape, n), rays.m], axis=1)
-    j = np.argmin(margins, axis=1)
-    rows = np.arange(len(margins))
-    return m[rows, j], margins[rows, j]
-
-
-def _ray_minimum(form: PsiForm, region: Region, theta: np.ndarray, n_class: int):
+def _ray_minimum(form: PsiForm, region: Region, theta: np.ndarray, jet, n_class: int):
     """Least margin along each theta's boundary ray over m >= n_class and the m
     attaining it (inf where the least value is the limit as m -> inf), shapes (K,),
-    and the rays they were read from (None for second-order forms)."""
+    and the rays they were read from (None for second-order forms).
+
+    ``jet(theta)`` gives r and sigma first (:func:`jet_arrays` at m = 1, or
+    :func:`unit_jet` for theta known to lie on the arc); a first-order form
+    reads its rays from it.  Each row's columns are the start m = n, the
+    region's candidates (0 where not finite and positive) and the limit
+    m = inf; a candidate counts past the start, and a tie goes to the start.
+    """
     n = float(n_class)
     if form.order == 2:
         # base = B0 + m B1 makes the projected distance max(0, h(m)) with
@@ -190,8 +181,25 @@ def _ray_minimum(form: PsiForm, region: Region, theta: np.ndarray, n_class: int)
         # 2/3 < 1 <= n: h increases on [n, inf) and its least value is at m = n.
         dist, _, _, _ = second_order_min_distance(form, region.center, theta, np.array([n]))
         return np.full(len(theta), n), dist[:, 0] - region.radius, None
-    rays, start = _rays(form, region, theta, n)
-    return (*_reduce(rays, start, n), rays)
+    r, sigma = jet(theta)[:2]
+    with np.errstate(all="ignore"):  # the rules below decide what is not finite
+        a, c = form.lead(r[:, 0]), form.slope(r[:, 0], sigma[:, 0])
+        extra, tail = region.ray_extrema(a, c)
+        # column-major, so that the columns Rays views are contiguous
+        m = np.empty((extra.shape[1] + 2, len(theta))).T
+        m[:, 0], m[:, -1] = n, np.inf
+        # a candidate that is not finite and positive never counts
+        m[:, 1:-1] = np.where(np.isfinite(extra) & (extra > 0.0), extra, 0.0)
+        margins = np.empty_like(m)
+        margins[:, :-1] = region.margin(form.value(r, sigma * m[:, :-1]))
+        # where the line parameter overflows (c subnormal) the candidates are lost,
+        # and a NaN limit makes the scan refuse the row
+        lost = np.isfinite(c) & (c != 0.0) & ~np.isfinite((region.anchor - a) / c)
+        margins[:, -1] = np.where(lost, np.nan, tail)
+    counted = np.where(m > n, margins, np.inf)
+    counted[:, 0] = margins[:, 0]
+    at = np.arange(len(theta)), np.argmin(counted, axis=1)
+    return m[at], counted[at], Rays(r, sigma, m[:, 1:], margins[:, 1:])
 
 
 def _golden_step(a, b, x1, x2, go_left):
@@ -254,18 +262,21 @@ def min_over_t(form: PsiForm, triple, region: Region) -> TMinimum:
 
 
 def _polish(form, region, theta, i, n_class):
-    """Golden-section search over theta for the profile minimizer, between its grid neighbours."""
+    """Golden-section search over theta for the profile minimizer, between its grid
+    neighbours.  Every abscissa lies in that bracket, so it is checked once."""
     lo = float(theta[max(i - 1, 0)])
     hi = float(theta[min(i + 1, len(theta) - 1)])
-    m_at = {}  # the m of every evaluated abscissa, so the minimizer's needs no new scan
+    check_theta(np.array([lo, hi]))
+    seen = []  # each evaluation's abscissae and m, so the minimizer's needs no new scan
 
     def f(x):
-        m, margins, _ = _ray_minimum(form, region, x, n_class)
-        m_at.update(zip(x.tolist(), m.tolist()))
+        m, margins, _ = _ray_minimum(form, region, x, unit_jet, n_class)
+        seen.append((x, m))
         return margins
 
     th_star, val = _golden_min(f, lo, hi)
-    return th_star, m_at[th_star], val
+    x, m = map(np.concatenate, zip(*seen))
+    return th_star, float(m[np.flatnonzero(x == th_star)[-1]]), val
 
 
 def _finite(minimum):
@@ -282,7 +293,8 @@ def scan_profile(form: PsiForm, region: Region, grid: GridSpec = GridSpec(),
     """
     _require_pairing(form, region)
     theta = grid.theta_grid()[rows]
-    m, margins, rays = _ray_minimum(form, region, theta, n_class)
+    m, margins, rays = _ray_minimum(form, region, theta, lambda th: jet_arrays(th, np.ones(1)),
+                                    n_class)
     prof = Profile(theta, m, margins, int(np.argmin(margins)), rays)
     _finite(prof.minimum)
     return prof

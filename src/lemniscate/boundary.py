@@ -90,6 +90,18 @@ def curvature_identity(theta: float) -> float:
 # ---------------------------------------------------------------------------
 # vectorized builder used by the scanner
 
+def unit_jet(theta: np.ndarray):
+    """The jet at m = 1 on each theta, which is not checked.
+
+    Returns (r, sigma, e3, root): r, sigma = s/m and e3 = e^{3i*theta} as
+    columns (K,1), and root = sqrt(2 cos 2*theta) of shape (K,).  For theta
+    inside a grid that :func:`jet_arrays` has checked.
+    """
+    root = np.sqrt(2.0 * np.cos(2.0 * theta))
+    e3 = np.exp(3j * theta)[:, None]
+    return (root * np.exp(1j * theta))[:, None], e3 / (2.0 * root)[:, None], e3, root
+
+
 def jet_arrays(theta: np.ndarray, m: np.ndarray):
     """Boundary data at every m of a 1-D ``m`` on each theta.
 
@@ -105,11 +117,7 @@ def jet_arrays(theta: np.ndarray, m: np.ndarray):
     if np.any(m < 1.0):
         raise DomainError("m must be >= 1")
     m = m[None, :]
-    c = np.cos(2.0 * theta)
-    root = np.sqrt(2.0 * c)
-    r = (root * np.exp(1j * theta))[:, None]
-    e3 = np.exp(3j * theta)[:, None]
-    s = e3 / (2.0 * root)[:, None] * m
+    r, sigma, e3, root = unit_jet(theta)
     with np.errstate(over="ignore"):
         tau = (m * (3.0 * m - 4.0)) / (8.0 * root)[:, None]
-    return r, s, tau, e3
+    return r, sigma * m, tau, e3

@@ -15,10 +15,10 @@ only stateful thing in this module is nothing at all, so concurrent use is
 unrestricted.
 
 Each region also names, through ``ray_extrema(a, c)``, where its margin along
-rays w = a + m c (a, c of shape (K,)) can take its least value over real m: a
-(K, j) array of m, at which the admissibility scan evaluates the margin
-instead of sampling m (counting those past the rays' start), and the margin's
-limit as m -> +inf.
+rays w = a + m c (c of shape (K,), a of that shape or a scalar) can take its
+least value over real m: a (K, j) array of m, at which the admissibility scan
+evaluates the margin instead of sampling m (counting those past the rays'
+start), and the margin's limit as m -> +inf.
 They are written through the parameter points m_p = (p - a)/c, the m at
 which the line passes through the point p.
 """
@@ -183,7 +183,7 @@ class HalfPlaneReLess(_Region):
         The -inf is no verdict: the scan's finiteness rule turns it into a
         ConfigurationError.  No catalogued ray reaches it (for ex2, Re c = 1/4).
         """
-        return np.empty(np.shape(a) + (0,)), np.where(c.real < 0.0, -np.inf, np.inf)
+        return np.empty(np.shape(c) + (0,)), np.where(c.real < 0.0, -np.inf, np.inf)
 
     def describe(self) -> str:
         return f"{{w : Re w < {self.bound:.9g}}}"

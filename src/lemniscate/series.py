@@ -223,6 +223,9 @@ class TruncatedSeries:
     def from_json(cls, text: str) -> "TruncatedSeries":
         pairs = json.loads(text)
         try:
+            # complex() takes a JSON true or false as 1 or 0
+            if any(isinstance(x, bool) for pair in pairs for x in pair):
+                raise TypeError
             coeffs = [complex(re, im) for re, im in pairs]
         except (TypeError, ValueError):
             raise ValueError("expected a JSON list of [re, im] pairs of real numbers") from None

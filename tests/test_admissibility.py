@@ -7,7 +7,7 @@ from lemniscate import admissibility
 from lemniscate.admissibility import (_GOLDEN, ConfigurationError, GridSpec,
                                       _golden_min, _ray_minimum, check_admissible,
                                       min_over_t, scan_profile)
-from lemniscate.boundary import jet_arrays, make_triple
+from lemniscate.boundary import jet_arrays, make_triple, unit_jet
 from lemniscate.catalog import (LEMMAS, FirstOrderPlus, SecondOrderSum,
                                 SecondOrderWeighted, closed_form_g, evaluate,
                                 get_lemma, second_order_min_distance)
@@ -15,6 +15,11 @@ from lemniscate.geometry import DELTA, Disk
 
 SQRT2 = np.sqrt(2.0)
 FAST = GridSpec(theta_points=1001)
+
+
+def grid_jet(theta):
+    """The scan's jet: checked theta, m = 1."""
+    return jet_arrays(theta, np.ones(1))
 
 
 def check_lemma(lemma_id, beta=None, gamma=None, grid=GridSpec(), n_class=None):
@@ -48,6 +53,7 @@ def _sampled(rng, draws=3):
 
 
 SAMPLED = _sampled(np.random.default_rng(17))
+THRESHOLDED = sorted(k for k, lemma in LEMMAS.items() if lemma.threshold_ref is not None)
 
 
 class TestCheckAdmissible:
@@ -136,6 +142,17 @@ class TestCheckAdmissible:
         a = check_lemma("first3", 1.25, grid=FAST)
         b = check_lemma("first3", 1.25, grid=FAST)
         assert a == b
+
+    @pytest.mark.parametrize("beta", [1e-315, 1e-320, 5e-324])
+    @pytest.mark.parametrize("lemma_id", THRESHOLDED)
+    def test_subnormal_beta_is_never_admissible(self, lemma_id, beta):
+        # the ray's line parameter overflows, so its far part, where the
+        # violation sits (m ~ 1/beta), cannot be seen: a refusal or a violation
+        try:
+            verdict = check_lemma(lemma_id, beta)
+        except ConfigurationError:
+            return
+        assert not verdict.admissible
 
 
 class TestMinOverT:
@@ -234,7 +251,7 @@ class TestScanProfile:
 
         def one_nan(region, w):
             margins = np.array(margin(region, w))
-            margins[-1, -1] = np.nan  # far from the minimum, which is finite
+            margins[-1, 0] = np.nan  # the last row's start, far from the minimum, which is finite
             return margins
 
         monkeypatch.setattr(type(lemma.region), "margin", one_nan)
@@ -332,7 +349,8 @@ class TestGridHygiene:
             lemma = get_lemma(lemma_id)
             form = lemma.make_form(lemma.default_beta, lemma.default_gamma)
             verdict = check_admissible(form, lemma.region, FAST, n_class=lemma.n_class)
-            near = _ray_minimum(form, lemma.region, np.array([edge]), lemma.n_class)[1][0]
+            near = _ray_minimum(form, lemma.region, np.array([edge]), grid_jet,
+                                lemma.n_class)[1][0]
             assert near >= verdict.min_objective_seen - 1e-12, lemma_id
 
     def test_even_theta_count_becomes_odd(self):
@@ -414,15 +432,44 @@ class TestBatchedPolish:
             assert repr(got) == repr(want), case
 
     def test_one_scan_and_one_batched_search(self, monkeypatch):
-        shapes = []
+        grid, polish = [], []
 
-        def counting(theta, m):
-            jet = jet_arrays(theta, m)
-            shapes.append(jet[1].shape)
-            return jet
+        def counting(jet, shapes):
+            def wrapper(theta, *m):
+                out = jet(theta, *m)
+                shapes.append(out[1].shape)
+                return out
+            return wrapper
 
-        monkeypatch.setattr(admissibility, "jet_arrays", counting)
+        monkeypatch.setattr(admissibility, "jet_arrays", counting(jet_arrays, grid))
+        monkeypatch.setattr(admissibility, "unit_jet", counting(unit_jet, polish))
         check_lemma("first3", 1.25)
-        # one jet per evaluation serves every candidate m: the scan, the search's
-        # two opening points and 12 batches of 4 steps; the minimizer's m was seen
-        assert shapes == [(2001, 1), (2, 1)] + 12 * [(15, 1)]
+        # one checked jet for the scan, whose grid holds the polish's bracket; one
+        # unchecked jet per evaluation of the search: its two opening points and
+        # 12 batches of 4 steps; the minimizer's m was seen
+        assert grid == [(2001, 1)]
+        assert polish == [(2, 1)] + 12 * [(15, 1)]
+
+    def test_polish_rows_are_the_scan_rows(self, monkeypatch):
+        # the polish's unchecked jet gives the rows the scan's checked jet gives
+        calls = []
+
+        def recording(form, region, theta, jet, n_class):
+            out = _ray_minimum(form, region, theta, jet, n_class)
+            if jet is unit_jet:
+                calls.append((form, region, theta, n_class, out))
+            return out
+
+        monkeypatch.setattr(admissibility, "_ray_minimum", recording)
+        for lemma_id, beta, gamma in SAMPLED:
+            if get_lemma(lemma_id).order != 1:
+                continue
+            calls.clear()
+            check_lemma(lemma_id, beta, gamma)
+            # the two opening points and the first batch
+            assert [len(call[2]) for call in calls[:2]] == [2, 15]
+            for form, region, theta, n_class, polish in calls[:2]:
+                scan = _ray_minimum(form, region, theta, grid_jet, n_class)
+                for got, want in zip(polish[:2], scan[:2]):  # m, then the margin
+                    assert [x.hex() for x in got.tolist()] == [x.hex() for x in want.tolist()], \
+                        (lemma_id, beta, gamma)

@@ -301,7 +301,7 @@ class TestVerify:
         assert out == ""
         assert "finite" in err
 
-    @pytest.mark.parametrize("text", ["[1, 2]", '[[1, "x"]]'])
+    @pytest.mark.parametrize("text", ["[1, 2]", '[[1, "x"]]', "[[true, false], [0.125, 0]]"])
     def test_malformed_p_is_usage_error(self, capsys, tmp_path, text):
         path = tmp_path / "p.json"
         path.write_text(text)

@@ -187,6 +187,11 @@ class TestJson:
         data = json.loads(series(1, 2 + 3j).to_json())
         assert data == [[1.0, 0.0], [2.0, 3.0]]
 
+    @pytest.mark.parametrize("text", ["[[true, false], [0.125, 0]]", "[[1, 0], [0.5, true]]"])
+    def test_booleans_are_not_numbers(self, text):
+        with pytest.raises(ValueError, match=r"\[re, im\] pairs of real numbers"):
+            TruncatedSeries.from_json(text)
+
 
 small_coeffs = st.lists(
     st.complex_numbers(max_magnitude=5, allow_nan=False, allow_infinity=False),

@@ -92,7 +92,7 @@ def test_jet_counter_counts_the_points_each_scan_evaluates():
     finally:
         tracer.uninstall()
     calls, _, _ = tracer.totals()
-    # one jet per evaluation: the scan, the search's two opening points and
-    # 12 batches of 15; the minimizer's m is read from the batch that found it
-    assert tracer.counts["boundary.jet_arrays.grid_points"] == 2001 + 2 + 12 * 15
+    # one checked jet, the scan's; the polish's bracket lies inside its grid, so
+    # the search evaluates the unchecked unit jet, which the tracer does not wrap
+    assert tracer.counts["boundary.jet_arrays.grid_points"] == 2001
     assert calls["boundary.jet_arrays.point"] == 0
