@@ -31,7 +31,7 @@ from .series import (NonInvertibleSeriesError, NormalizationError,
                      TruncatedSeries, p_of_f, sqrt_one_plus_z_series)
 from .thresholds import (BracketError, MonotonicityError, ThresholdResult,
                          certified_at, find_beta_threshold)
-from .verifier import (ImageProbe, ImplicationReport, ProbeSpec,
-                       hypothesis_series, image_in_region,
-                       random_normalized_f, random_normalized_p,
-                       sharpness_probe_example2, verify_implication)
+from .verifier import (ImageProbe, ImplicationReport, hypothesis_series,
+                       image_in_region, random_normalized_f,
+                       random_normalized_p, sharpness_probe_example2,
+                       verify_implication)

@@ -31,9 +31,10 @@ beta:
 per row, the start, and one minimum in which a candidate counts where u > beta n.
 
 :func:`scan_profile` is the only code that scans: it builds the theta grid,
-the table, each row's least margin and their minimum once, and a non-finite
-minimum is a ConfigurationError.  The scan is purely functional and its
-minimum a min-reduction, so results are bit-identical for a given grid.  The
+the table, each row's least margin and their minimum once.  A finite row
+below ``-eps_adm`` decides the scan whatever NaN rows sit beside it; any other
+non-finite minimum is a ConfigurationError.  The scan is purely functional and
+its minimum a min-reduction, so results are bit-identical for a given grid.  The
 verdict is a view of it, and the bisection certificate
 (:func:`lemniscate.thresholds.certified_at`) a view of the table of the form at
 1.  The verdict adds a short golden-section polish over theta around the
@@ -48,11 +49,12 @@ is checked once and every evaluation passes the unchecked
 :func:`~lemniscate.boundary.unit_jet`, the formula :func:`jet_arrays` is
 built on.  A ray whose line parameter overflows (a subnormal slope, from a
 beta near the bottom of the float range) has lost its candidates, so its
-limit is NaN and the scan refuses it.
+limit is NaN, and the scan refuses it unless a finite row rejects.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import NamedTuple, Optional
 
@@ -139,9 +141,10 @@ class Profile:
     """One scan: each theta row's least margin over m >= n (minimized over t where
     applicable) and the m attaining it (inf where the least value is a limit).
 
-    ``argmin`` is the row of the first least margin.  ``rays`` is the table
-    the scan of a first-order form was reduced from (None for second-order
-    forms).
+    ``argmin`` is the row that decides the scan (:func:`deciding_row`): the
+    first least margin, or a finite one below ``-eps_adm`` beside NaN rows.
+    ``rays`` is the table the scan of a first-order form was reduced from
+    (None for second-order forms).
     """
 
     theta: np.ndarray
@@ -179,7 +182,7 @@ def _ray_minimum(form: PsiForm, region: Region, theta: np.ndarray, jet, n_class:
         # B1 = kappa sigma with kappa real and > 0 (1 for b + c and a^2 + b + c,
         # gamma for gamma b + beta c) and coef > 0, so the vertex lies below
         # 2/3 < 1 <= n: h increases on [n, inf) and its least value is at m = n.
-        dist, _, _, _ = second_order_min_distance(form, region.center, theta, np.array([n]))
+        dist, _, _, _ = second_order_min_distance(form, region.center, theta, n)
         return np.full(len(theta), n), dist[:, 0] - region.radius, None
     r, sigma = jet(theta)[:2]
     with np.errstate(all="ignore"):  # the rules below decide what is not finite
@@ -254,7 +257,7 @@ def min_over_t(form: PsiForm, triple, region: Region) -> TMinimum:
     if not isinstance(region, Disk):
         raise ConfigurationError("t-minimization needs a disk target")
     dist, base, _, e3 = second_order_min_distance(
-        form, region.center, np.array([triple.theta]), np.array([triple.m]))
+        form, region.center, np.array([triple.theta]), triple.m)
     kappa = float(dist[0, 0])
     # the nearest image point is center + kappa e^{3i theta} (the center itself if kappa = 0)
     t_star = (region.center + kappa * e3[0, 0] - base[0, 0]) / float(form.t_coefficient)
@@ -279,42 +282,50 @@ def _polish(form, region, theta, i, n_class):
     return th_star, float(m[np.flatnonzero(x == th_star)[-1]]), val
 
 
-def _finite(minimum):
-    if not np.isfinite(minimum):
-        raise ConfigurationError(f"the scan's minimum margin is {minimum}, not finite")
+def deciding_row(least: np.ndarray, floor: float) -> int:
+    """The row of ``least`` that decides whether every row is at least ``floor``:
+    the first least row or, where that is NaN, the least finite row if it lies
+    below ``floor``, a violation whatever the NaN rows hold.  A non-finite least
+    row that no finite row overrules is a ConfigurationError.
+    """
+    i = int(np.argmin(least))  # the first NaN, if there is one
+    if math.isfinite(least[i]):
+        return i
+    if math.isnan(least[i]):
+        finite = np.where(np.isfinite(least), least, np.inf)
+        j = int(np.argmin(finite))
+        if finite[j] < floor:
+            return j
+    raise ConfigurationError(f"the scan's minimum margin is {least[i]}, not finite")
 
 
 def scan_profile(form: PsiForm, region: Region, grid: GridSpec = GridSpec(),
-                 n_class: int = 1, rows=slice(None)) -> Profile:
-    """Least margin over m >= ``n_class`` on the boundary ray of each theta in the grid's ``rows``.
+                 n_class: int = 1) -> Profile:
+    """Least margin over m >= ``n_class`` on the boundary ray of each theta of the grid.
 
-    A non-finite minimum raises ConfigurationError; ``argmin`` returns the
-    first NaN, so a NaN anywhere counts.
+    ``argmin`` is the :func:`deciding_row` for the floor ``-grid.eps_adm``, so
+    a non-finite minimum raises ConfigurationError unless a finite row lies
+    below that floor.
     """
     _require_pairing(form, region)
-    theta = grid.theta_grid()[rows]
-    m, margins, rays = _ray_minimum(form, region, theta, lambda th: jet_arrays(th, np.ones(1)),
+    theta = grid.theta_grid()
+    m, margins, rays = _ray_minimum(form, region, theta, lambda th: jet_arrays(th, 1.0),
                                     n_class)
-    prof = Profile(theta, m, margins, int(np.argmin(margins)), rays)
-    _finite(prof.minimum)
-    return prof
+    return Profile(theta, m, margins, deciding_row(margins, -grid.eps_adm), rays)
 
 
 def scaled_minimum(rays: Rays, form: PsiForm, region: Region, scale: float,
-                   n_class: int = 1, axis=None):
-    """Least margin over m >= ``n_class``, over all rows (``axis=None``) or per row
-    (``axis=1``), of ``form``: the form ``rays`` were scanned with, b scaled by ``scale``.
+                   n_class: int = 1) -> np.ndarray:
+    """Each row's least margin over m >= ``n_class`` of ``form``: the form ``rays``
+    were scanned with, b scaled by ``scale``.
 
     The start margin is ``form``'s own, bit-identical to :func:`scan_profile`'s;
-    a candidate counts where its unscaled m exceeds ``scale * n``.  The
-    finiteness rule is :func:`scan_profile`'s.
+    a candidate counts where its unscaled m exceeds ``scale * n``.  As in the
+    scan, a NaN anywhere in a row makes that row NaN.
     """
     n = float(n_class)
     start = np.asarray(region.margin(form.value(rays.r, rays.sigma * n)))
-    least = np.minimum(start.min(axis),
-                       np.where(rays.m > scale * n, rays.margins, np.inf).min(axis))
-    _finite(least.min())  # min propagates a NaN, so a NaN anywhere counts
-    return least
+    return np.minimum(start[:, 0], np.where(rays.m > scale * n, rays.margins, np.inf).min(1))
 
 
 def check_admissible(form: PsiForm, region: Region, grid: GridSpec = GridSpec(),

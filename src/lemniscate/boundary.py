@@ -72,7 +72,7 @@ class AdmissibleTriple:
 
 def make_triple(theta: float, m: float) -> AdmissibleTriple:
     """Assemble the admissibility data at (theta, m); m >= 1, |theta| < pi/4."""
-    r, s, tau, _ = jet_arrays(np.array([float(theta)]), np.array([float(m)]))
+    r, s, tau, _ = jet_arrays(np.array([float(theta)]), float(m))
     return AdmissibleTriple(
         theta=float(theta), m=float(m), r=complex(r[0, 0]), s=complex(s[0, 0]),
         tau_min=float(tau[0, 0]),
@@ -102,21 +102,17 @@ def unit_jet(theta: np.ndarray):
     return (root * np.exp(1j * theta))[:, None], e3 / (2.0 * root)[:, None], e3, root
 
 
-def jet_arrays(theta: np.ndarray, m: np.ndarray):
-    """Boundary data at every m of a 1-D ``m`` on each theta.
+def jet_arrays(theta: np.ndarray, m: float):
+    """Boundary data at one m >= 1 on each theta.
 
-    Returns (r, s, tau_min, e3) with shapes (K,1), (K,M), (K,M), (K,1); r and
-    e3 are kept as columns so the psi-forms broadcast against s without copies.
-    tau_min is +inf where m(3m - 4) exceeds the float range (m above ~1e154),
-    which is its correctly rounded value.
+    Returns (r, s, tau_min, e3) as columns of shape (K,1), so the psi-forms
+    broadcast against them without copies.  tau_min is +inf where m(3m - 4)
+    exceeds the float range (m above ~1e154), which is its correctly rounded
+    value.
     """
     check_theta(theta)
-    m = np.asarray(m, dtype=np.float64)
-    if m.ndim != 1:
-        raise DomainError("m must be a 1-D array")
-    if np.any(m < 1.0):
+    if not m >= 1.0:  # also rejects NaN
         raise DomainError("m must be >= 1")
-    m = m[None, :]
     r, sigma, e3, root = unit_jet(theta)
     with np.errstate(over="ignore"):
         tau = (m * (3.0 * m - 4.0)) / (8.0 * root)[:, None]

@@ -260,8 +260,8 @@ def evaluate(form: PsiForm, triple, t: Optional[complex] = None) -> complex:
     return complex(form.value(triple.r, triple.s))
 
 
-def second_order_min_distance(form: PsiForm, center: complex, theta: np.ndarray, m: np.ndarray):
-    """Exact min over admissible t of |psi(r, s, t) - center| at (theta, m), m a 1-D array.
+def second_order_min_distance(form: PsiForm, center: complex, theta: np.ndarray, m: float):
+    """Exact min over admissible t of |psi(r, s, t) - center| at one m on each theta.
 
     psi is affine in t with a positive real coefficient, so the admissible
     image is a half-plane with inner normal e^{3i*theta} and the minimum is a
@@ -269,8 +269,8 @@ def second_order_min_distance(form: PsiForm, center: complex, theta: np.ndarray,
 
         dist = max(0, coef * tau_min - Re((center - base) e^{-3i*theta})).
 
-    Returns (dist, base, tau, e3), shapes as in :func:`jet_arrays`, so callers
-    can reconstruct the minimizer.
+    Returns (dist, base, tau, e3), columns of shape (K,1) as in
+    :func:`jet_arrays`, so callers can reconstruct the minimizer.
     """
     if form.order != 2:
         raise ArityError("exact t-minimization applies to second-order forms only")

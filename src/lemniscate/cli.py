@@ -20,8 +20,6 @@ import time
 from dataclasses import asdict, fields
 from pathlib import Path
 
-import numpy as np
-
 from . import __version__
 from .admissibility import GridSpec, check_admissible
 from .boundary import THETA_EPS, jet_arrays, theta_grid
@@ -30,7 +28,7 @@ from .geometry import lemniscate_boundary
 from .series import TruncatedSeries
 from .thresholds import (DEFAULT_SEARCH, DEFAULT_TOL, BracketError,
                          MonotonicityError, find_beta_threshold)
-from .verifier import ProbeSpec, random_normalized_p, verify_implication
+from .verifier import random_normalized_p, verify_implication
 
 SCHEMA_VERSION = 2
 
@@ -144,7 +142,6 @@ def _cmd_verify(ns) -> int:
     lemma = get_lemma(ns.lemma)
     beta, gamma = _resolve_params(lemma, ns)
     lemma.make_form(beta, gamma)  # reject bad coefficients before drawing any p
-    spec = ProbeSpec()
     if ns.p_json:
         candidates = [TruncatedSeries.from_json(Path(ns.p_json).read_text())]
     else:
@@ -154,7 +151,7 @@ def _cmd_verify(ns) -> int:
         ]
     reports = []
     for p in candidates:
-        rep = verify_implication(ns.lemma, p, beta, gamma, spec)
+        rep = verify_implication(ns.lemma, p, beta, gamma)
         reports.append({
             "status": rep.status,
             "hypothesis_holds": rep.hypothesis_holds,
@@ -249,7 +246,7 @@ def _cmd_boundary(ns) -> int:
         lemma = get_lemma(ns.psi)
         beta, gamma = _resolve_params(lemma, ns)
         form = lemma.make_form(beta, gamma)
-        r, s, tau, e3 = jet_arrays(theta, np.array([1.0]))
+        r, s, tau, e3 = jet_arrays(theta, 1.0)
         # second-order values shown at the constraint-boundary t
         psi = (form.value(r, s, tau * e3) if form.order == 2 else form.value(r, s))[:, 0]
         columns += ["psi_re", "psi_im"]

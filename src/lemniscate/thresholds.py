@@ -29,7 +29,9 @@ therefore scans once, at beta = 1, through
 margin of its rows from that table with
 :func:`~lemniscate.admissibility.scaled_minimum`: one start margin per row, the
 beta-form's own at m = n, and one minimum over the candidates past u = beta n.
-A non-finite minimum is a ConfigurationError, never a certificate.
+A ``certified_at`` called on its own scans the same table first.  A row below
+the floor rejects whatever NaN rows sit beside it; any other non-finite minimum
+is a ConfigurationError, never a certificate.
 
 The verdict is boolean and the objective is not smooth where the minimizing
 theta switches branches, so bisection is used rather than gradient steps.
@@ -43,8 +45,8 @@ from typing import Optional
 
 import numpy as np
 
-from .admissibility import (ConfigurationError, GridSpec, Profile, Rays, scaled_minimum,
-                           scan_profile)
+from .admissibility import (ConfigurationError, GridSpec, Profile, Rays, deciding_row,
+                            scaled_minimum, scan_profile)
 from .catalog import get_lemma
 
 DEFAULT_SEARCH = (0.05, 6.0)
@@ -72,9 +74,15 @@ class ThresholdResult:
     closed_form: Optional[float]
 
 
-def _unit_scan(lemma, grid: GridSpec, rows=slice(None)) -> Profile:
-    """The scan of the lemma's form at beta = 1 on ``rows`` of the grid."""
-    return scan_profile(lemma.make_form(1.0), lemma.region, grid, lemma.n_class, rows=rows)
+def _require_scales_b(lemma) -> None:
+    if lemma.params not in _SCALES_B:
+        raise ConfigurationError(f"{lemma.lemma_id} has no coefficient beta that scales b, "
+                                 "so it has no certificate in beta")
+
+
+def _unit_scan(lemma, grid: GridSpec) -> Profile:
+    """The scan of the lemma's form at beta = 1."""
+    return scan_profile(lemma.make_form(1.0), lemma.region, grid, lemma.n_class)
 
 
 def certified_at(lemma_id: str, beta: float, grid: GridSpec = GridSpec(),
@@ -82,32 +90,33 @@ def certified_at(lemma_id: str, beta: float, grid: GridSpec = GridSpec(),
     """True iff the scan is admissible and the objective minimum sits at theta = 0.
 
     That is: every row of the profile is at least ``max(-eps_adm, P(0) - tol)``,
-    P(0) being the center row.  The center row and its two neighbours are rows
-    of the full profile, so a row below the floor there rejects exactly as the
-    full profile would; otherwise every row is held to the same floor.  Both are
-    read from ``unit``, the full-grid scan of the lemma at beta = 1; without it,
-    three rows at beta = 1 are scanned, and the full grid only if they pass.
-    A lemma whose coefficient does not enter as beta b is a ConfigurationError,
-    raised before any scan, and so is a non-finite margin in either read.
+    P(0) being the center row.  Both are read from ``unit``, the scan of the
+    lemma at beta = 1 on ``grid`` (scanned here if not given): the center row
+    and its two neighbours first, and every row only if they pass.  A read
+    with a non-finite minimum is a ConfigurationError unless a finite row
+    rejects (:func:`~lemniscate.admissibility.deciding_row`).  A lemma whose
+    coefficient does not enter as beta b, and a ``unit`` whose row count is
+    not ``grid.theta_points``, are ConfigurationErrors raised before any scan.
     """
     lemma = get_lemma(lemma_id)
-    if lemma.params not in _SCALES_B:
-        raise ConfigurationError(f"{lemma_id} has no coefficient beta that scales b, "
-                                 "so it has no certificate in beta")
+    _require_scales_b(lemma)
     form = lemma.make_form(beta)
     if complex(beta).imag:
         raise ConfigurationError(f"the certificate takes a real coefficient, got {beta!r}")
-    c = grid.theta_points // 2
-    band = slice(c - 1, c + 2)
-    rays = (Rays(*(column[band] for column in unit.rays)) if unit is not None
-            else _unit_scan(lemma, grid, rows=band).rays)
-    least = scaled_minimum(rays, form, lemma.region, beta, lemma.n_class, axis=1)
-    floor = max(-grid.eps_adm, least[1] - _CENTER_TOL)
-    if not least.min() >= floor:
-        return False
     if unit is None:
         unit = _unit_scan(lemma, grid)
-    return bool(scaled_minimum(unit.rays, form, lemma.region, beta, lemma.n_class) >= floor)
+    elif len(unit.theta) != grid.theta_points:
+        raise ConfigurationError(f"the table has {len(unit.theta)} rows, "
+                                 f"the grid {grid.theta_points}")
+    c = len(unit.theta) // 2
+    band = Rays(*(column[c - 1:c + 2] for column in unit.rays))
+    least = scaled_minimum(band, form, lemma.region, beta, lemma.n_class)
+    # a NaN center leaves the admissibility floor, which max() returns first
+    floor = max(-grid.eps_adm, least[1] - _CENTER_TOL)
+    if not least[deciding_row(least, floor)] >= floor:
+        return False
+    least = scaled_minimum(unit.rays, form, lemma.region, beta, lemma.n_class)
+    return bool(least[deciding_row(least, floor)] >= floor)
 
 
 def find_beta_threshold(lemma_id: str, search=None, tol: float = DEFAULT_TOL,
@@ -117,14 +126,15 @@ def find_beta_threshold(lemma_id: str, search=None, tol: float = DEFAULT_TOL,
     Raises BracketError when the certificate does not change across the
     interval and MonotonicityError when an 8-point pre-scan sees it flip more
     than once (the bound is then not a single transition in the interval).
-    A ``tol`` that is not finite and positive, or a ``search`` interval
-    (lo, hi) that is not finite with 0 < lo < hi, is a ConfigurationError,
-    raised before any scan.  While the bracket spans more than a factor of 16
-    it is split at its geometric midpoint, so the step count grows with the
-    log of log(hi/lo) rather than with hi.  The bisection also stops once the
-    midpoint rounds onto an end of the bracket, so a sub-ulp ``tol`` yields
-    adjacent floats rather than a hang.  The search makes one full-grid scan,
-    of the form at beta = 1, and every step reads its certificate from it.
+    A ``tol`` that is not finite and positive, a ``search`` interval (lo, hi)
+    that is not finite with 0 < lo < hi, or a lemma whose coefficient does not
+    enter as beta b, is a ConfigurationError, raised before any scan.  While
+    the bracket spans more than a factor of 16 it is split at its geometric
+    midpoint, so the step count grows with the log of log(hi/lo) rather than
+    with hi.  The bisection also stops once the midpoint rounds onto an end
+    of the bracket, so a sub-ulp ``tol`` yields adjacent floats rather than a
+    hang.  The search makes one full-grid scan, of the form at beta = 1, and
+    every step reads its certificate from it.
     """
     if not (np.isfinite(tol) and tol > 0.0):
         raise ConfigurationError(f"tol must be finite and positive, got {tol!r}")
@@ -135,6 +145,7 @@ def find_beta_threshold(lemma_id: str, search=None, tol: float = DEFAULT_TOL,
     if lemma.unconditional:
         raise BracketError(f"{lemma_id} holds for every admissible coefficient; "
                            "there is no threshold to bracket")
+    _require_scales_b(lemma)
 
     unit = _unit_scan(lemma, grid)
     samples = np.linspace(lo, hi, 8)

@@ -3,8 +3,8 @@
 sqrt(1+z) is univalent on the disk, so p is subordinate to it exactly when
 p(0) = 1 and the image p(D) stays inside the lemniscate interior; the same
 containment criterion applies to every catalogued target h(D).  Each image is
-probed on one circle |z| = rho near 1, which decides the disk |z| <= rho, with
-the truncation order raised until the coefficient tail there is negligible.
+probed on one circle |z| = RADIUS = 0.999, which decides the disk inside it,
+with the truncation order raised until the coefficient tail there is negligible.
 
 The falsification entry point is :func:`verify_implication`: build the lemma's
 differential expression for a concrete p by exact series arithmetic (never
@@ -27,22 +27,14 @@ from .geometry import DELTA, Region
 from .series import NormalizationError, TruncatedSeries
 
 
-# samples on the probe circle; the hypothesis series' working order starts at
-# START_ORDER and doubles up to MAX_ORDER until its tail on the circle is
-# below TAIL_TOL
+# the probe circle |z| = RADIUS and its samples; the hypothesis series' working
+# order starts at START_ORDER and doubles up to MAX_ORDER until its tail on the
+# circle is below TAIL_TOL
+RADIUS = 0.999
 ANGULAR_POINTS = 4096
 TAIL_TOL = 1e-8
 START_ORDER = 64
 MAX_ORDER = 2048
-
-
-@dataclass(frozen=True)
-class ProbeSpec:
-    radius: float = 0.999
-
-    def __post_init__(self):
-        if not 0.0 < self.radius < 1.0:  # also rejects NaN
-            raise ValueError("the probe radius must lie in (0, 1)")
 
 
 @dataclass(frozen=True)
@@ -72,13 +64,13 @@ class ImplicationReport:
     conclusion_probe: ImageProbe
 
 
-def image_in_region(p, region: Region, spec: ProbeSpec = ProbeSpec()) -> ImageProbe:
-    """Probe the image of the disk |z| <= spec.radius under p against the region.
+def image_in_region(p: TruncatedSeries, region: Region) -> ImageProbe:
+    """Probe the image of the disk |z| <= RADIUS under p against the region.
 
-    p is a TruncatedSeries (an exact polynomial with finite coefficients) or
-    any callable accepting complex arrays.  p(0) must sit at the region's anchor value.
+    p is an exact polynomial with finite coefficients, and p(0) must sit at
+    the region's anchor value.
 
-    Only the circle |z| = rho is sampled; it decides the disk.  Each target
+    Only the circle |z| = RADIUS is sampled; it decides the disk.  Each target
     is simply connected, so a circle image inside it winds around no outside
     point, and by the argument principle p takes no outside value on the
     disk.  Each margin composed with p is subharmonic, so its largest value
@@ -86,23 +78,18 @@ def image_in_region(p, region: Region, spec: ProbeSpec = ProbeSpec()) -> ImagePr
     target that holds where p != -1; -1 lies outside |w - 5/3| < 4/3, so a
     circle image inside that disk cannot wind around it.
     """
-    rho, k = spec.radius, ANGULAR_POINTS
-    if isinstance(p, TruncatedSeries):
-        if not np.all(np.isfinite(p.coeffs)):
-            raise NormalizationError("the coefficients of p must be finite")
-        at_zero = complex(p.coeffs[0])
-        w = p.values_on_circle(rho, k)
-    else:
-        at_zero = complex(p(np.array(0.0 + 0.0j)))
-        w = p(rho * np.exp(2j * np.pi * np.arange(k) / k))
+    if not np.all(np.isfinite(p.coeffs)):
+        raise NormalizationError("the coefficients of p must be finite")
+    at_zero = complex(p.coeffs[0])
     if abs(at_zero - region.anchor) > 1e-9:
         raise NormalizationError(
             f"p(0) = {at_zero:g} does not match the region anchor {region.anchor:g}")
 
+    w = p.values_on_circle(RADIUS, ANGULAR_POINTS)
     margins = np.asarray(region.margin(w))
     idx = int(np.argmax(margins))
-    z = rho * np.exp(2j * np.pi * idx / k)
-    return ImageProbe(rho, k, float(margins[idx]), (complex(z), complex(w[idx])))
+    z = RADIUS * np.exp(2j * np.pi * idx / ANGULAR_POINTS)
+    return ImageProbe(RADIUS, ANGULAR_POINTS, float(margins[idx]), (complex(z), complex(w[idx])))
 
 
 def hypothesis_series(lemma: LemmaSpec | str, p: TruncatedSeries,
@@ -118,8 +105,8 @@ def hypothesis_series(lemma: LemmaSpec | str, p: TruncatedSeries,
     return form.value(p, b, c)
 
 
-def verify_implication(lemma_id: str, p: TruncatedSeries, beta=None, gamma=None,
-                       spec: ProbeSpec = ProbeSpec()) -> ImplicationReport:
+def verify_implication(lemma_id: str, p: TruncatedSeries, beta=None,
+                       gamma=None) -> ImplicationReport:
     """Probe one hypothesis/conclusion pair on a concrete p with p(0) = 1.
 
     Statuses: 'confirmed' (both hold), 'vacuous' (hypothesis fails, including
@@ -140,14 +127,14 @@ def verify_implication(lemma_id: str, p: TruncatedSeries, beta=None, gamma=None,
     work = max(START_ORDER, p.order)
     while True:
         hyp = hypothesis_series(lemma, p.pad_to(work), beta, gamma)
-        tail = hyp.tail_estimate(spec.radius)
+        tail = hyp.tail_estimate(RADIUS)
         if tail <= TAIL_TOL or work >= MAX_ORDER:
             break
         work = min(2 * work, MAX_ORDER)
     tail_ok = tail <= TAIL_TOL
 
-    hyp_probe = image_in_region(hyp, lemma.region, spec)
-    concl_probe = image_in_region(p, DELTA, spec)
+    hyp_probe = image_in_region(hyp, lemma.region)
+    concl_probe = image_in_region(p, DELTA)
     hypothesis_holds = class_ok and hyp_probe.contained
     conclusion_holds = concl_probe.contained
     if not hypothesis_holds:

@@ -9,8 +9,8 @@ from lemniscate.admissibility import (_GOLDEN, ConfigurationError, GridSpec,
                                       min_over_t, scan_profile)
 from lemniscate.boundary import jet_arrays, make_triple, unit_jet
 from lemniscate.catalog import (LEMMAS, FirstOrderPlus, SecondOrderSum,
-                                SecondOrderWeighted, closed_form_g, evaluate,
-                                get_lemma, second_order_min_distance)
+                                SecondOrderWeighted, closed_form_g, direct_objective,
+                                evaluate, get_lemma)
 from lemniscate.geometry import DELTA, Disk
 
 SQRT2 = np.sqrt(2.0)
@@ -19,7 +19,7 @@ FAST = GridSpec(theta_points=1001)
 
 def grid_jet(theta):
     """The scan's jet: checked theta, m = 1."""
-    return jet_arrays(theta, np.ones(1))
+    return jet_arrays(theta, 1.0)
 
 
 def check_lemma(lemma_id, beta=None, gamma=None, grid=GridSpec(), n_class=None):
@@ -258,11 +258,27 @@ class TestScanProfile:
         with pytest.raises(ConfigurationError, match="nan, not finite"):
             scan_profile(lemma.make_form(2.0), lemma.region, FAST)
 
+    def test_a_violation_outweighs_a_nan_row(self, monkeypatch):
+        # one1 at beta = 1 lies below its necessary bound: the NaN row refuses nothing
+        lemma = get_lemma("one1")
+        margin = type(lemma.region).margin
+
+        def one_nan(region, w):
+            margins = np.array(margin(region, w))
+            margins[-1, 0] = np.nan
+            return margins
+
+        monkeypatch.setattr(type(lemma.region), "margin", one_nan)
+        prof = scan_profile(lemma.make_form(1.0), lemma.region, FAST)
+        assert np.isnan(prof.margins[-1])
+        assert prof.minimum == np.nanmin(prof.margins) < -FAST.eps_adm
+        assert not check_admissible(lemma.make_form(1.0), lemma.region, FAST).admissible
+
 
 @pytest.mark.parametrize("beta", [1e-300, 1e-30, 1.0, 1e100])
 def test_ray_slope_does_not_cancel(beta):
     # at beta = 1e-30, psi = a + beta b/a^4 at b = sigma rounds to a; the slope is not a difference
-    r, sigma, _, _ = jet_arrays(FAST.theta_grid()[::50], np.ones(1))
+    r, sigma, _, _ = jet_arrays(FAST.theta_grid()[::50], 1.0)
     r, sigma = r[:, 0], sigma[:, 0]
     form = FirstOrderPlus(4, beta)
     assert np.array_equal(form.lead(r), r)
@@ -271,7 +287,7 @@ def test_ray_slope_does_not_cancel(beta):
 
 def test_slope_is_linear_in_b():
     # the scan reads the ray lead(r) + m slope(r, sigma) for b = m sigma
-    r, sigma, _, _ = jet_arrays(FAST.theta_grid()[::50], np.ones(1))
+    r, sigma, _, _ = jet_arrays(FAST.theta_grid()[::50], 1.0)
     r, sigma = r[:, 0], sigma[:, 0]
     for lemma_id, beta, gamma in SAMPLED:
         lemma = get_lemma(lemma_id)
@@ -284,13 +300,16 @@ def test_slope_is_linear_in_b():
             assert np.max(err) <= 1e-14, (lemma_id, beta, gamma, m)
 
 
-def dense_margins(form, region, theta, m):
-    """Region margins of psi at every m of a 1-D ``m`` on each theta, shape (K, M)."""
-    if form.order == 2:
-        dist, _, _, _ = second_order_min_distance(form, region.center, theta, m)
-        return dist - region.radius
-    r, s, _, _ = jet_arrays(theta, m)
-    return np.asarray(region.margin(form.value(r, s)))
+def dense_margins(lemma_id, beta, gamma, theta, m):
+    """Region margins of psi at every m of a 1-D ``m`` on each theta, shape (K, M):
+    at b = m sigma for first-order forms, and from the oracle's exact t-projected
+    distance for second-order ones."""
+    lemma = get_lemma(lemma_id)
+    if lemma.order == 2:
+        dist = direct_objective(lemma_id, theta[:, None], m[None, :], beta, gamma)
+        return dist - lemma.region.radius
+    r, sigma, _, _ = jet_arrays(theta, 1.0)
+    return np.asarray(lemma.region.margin(lemma.make_form(beta, gamma).value(r, sigma * m)))
 
 
 class TestGridHygiene:
@@ -298,12 +317,12 @@ class TestGridHygiene:
         # each row's least margin is at or below every margin of a dense m grid out to 1e6
         for lemma_id, beta, gamma in SAMPLED:
             lemma = get_lemma(lemma_id)
-            form = lemma.make_form(beta, gamma)
             n = lemma.n_class
-            prof = scan_profile(form, lemma.region, FAST, n, rows=slice(None, None, 10))
+            prof = scan_profile(lemma.make_form(beta, gamma), lemma.region, FAST, n)
+            theta, margins = prof.theta[::10], prof.margins[::10]
             dense = np.union1d(np.geomspace(n, 1e6, 200), np.linspace(n, n + 12, 121))
-            least = dense_margins(form, lemma.region, prof.theta, dense).min(axis=1)
-            assert np.all(prof.margins <= least + 1e-12 * np.maximum(1.0, np.abs(least))), \
+            least = dense_margins(lemma_id, beta, gamma, theta, dense).min(axis=1)
+            assert np.all(margins <= least + 1e-12 * np.maximum(1.0, np.abs(least))), \
                 (lemma_id, beta, gamma)
 
     def test_ray_minimizers_start_at_the_class_index(self):
@@ -318,7 +337,7 @@ class TestGridHygiene:
     def test_second_order_rays_are_least_at_the_class_index(self):
         # base = B0 + m kappa sigma with kappa real and > 0, so the projected
         # distance's vertex 2/3 (1 - kappa/coef) lies below 1 <= n
-        r, sigma, _, _ = jet_arrays(FAST.theta_grid(), np.ones(1))
+        r, sigma, _, _ = jet_arrays(FAST.theta_grid(), 1.0)
         r, sigma = r[:, 0], sigma[:, 0]
         for lemma_id, beta, gamma in SAMPLED:
             lemma = get_lemma(lemma_id)

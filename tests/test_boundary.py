@@ -34,9 +34,11 @@ class TestMakeTriple:
             make_triple(theta, m)
 
     def test_jet_takes_one_m_axis_for_all_theta(self):
-        assert jet_arrays(np.zeros(3), np.ones(2))[1].shape == (3, 2)
-        with pytest.raises(DomainError, match="1-D"):
-            jet_arrays(np.zeros(3), np.ones((3, 2)))
+        # one m for every theta: each part of the jet is a column
+        assert [x.shape for x in jet_arrays(np.zeros(3), 2.0)] == 4 * [(3, 1)]
+        for m in (0.5, np.nan):
+            with pytest.raises(DomainError, match=">= 1"):
+                jet_arrays(np.zeros(3), m)
 
     def test_m_scaling_exact(self):
         for theta in (-0.5, 0.0, 0.31):

@@ -77,13 +77,30 @@ class TestCheck:
         assert spec.region.contains(psi)
         assert spec.region.margin(psi) == pytest.approx(w["margin"], abs=1e-12)
 
+    @pytest.mark.parametrize("lemma,beta", [
+        ("first3", "1e-308"), ("first4", "5e-308"), ("one1", "2.2e-308"), ("one2", "2.3e-308"),
+        ("moebius", "1e-306"), ("moebius", "5e-307"), ("moebius", "2e-307"),
+    ])
+    def test_violation_beside_nan_rows_exits_two(self, capsys, lemma, beta):
+        # rays whose line parameter overflows have NaN limits; a finite row below
+        # -eps_adm is a violation whatever those rows hold
+        code, out, err = run(capsys, "check", "--lemma", lemma, "--beta", beta)
+        assert (code, err) == (2, "")
+        w = json.loads(out)["verdict"]["witness"]
+        spec = LEMMAS[lemma]
+        psi = evaluate(spec.make_form(float(beta)), make_triple(w["theta"], w["m"]))
+        assert spec.region.contains(psi)
+        assert spec.region.margin(psi) == pytest.approx(w["margin"], abs=1e-12)
+
     def test_non_finite_scan_is_usage_error(self, capsys):
-        # every margin overflows to inf: no verdict, and no "Infinity" in the JSON
-        with np.errstate(over="ignore", invalid="ignore"):
-            code, out, err = run(capsys, "check", "--lemma", "first3", "--beta", "1e300")
-        assert code == 1
-        assert out == ""
-        assert "finite" in err
+        # every margin overflows to inf (1e300), or every row's limit is NaN
+        # (1e-320): no finite row decides, so no verdict and no "Infinity" in the JSON
+        for beta, shown in (("1e300", "inf"), ("1e-320", "nan")):
+            with np.errstate(over="ignore", invalid="ignore"):
+                code, out, err = run(capsys, "check", "--lemma", "first3", "--beta", beta)
+            assert code == 1
+            assert out == ""
+            assert f"minimum margin is {shown}, not finite" in err
 
     @pytest.mark.parametrize("argv", [
         ["check", "--lemma", "one0", "--gamma", "5"],
@@ -185,6 +202,16 @@ class TestThreshold:
     def test_unconditional_lemma_is_bracket_error(self, capsys):
         code, _, _ = run(capsys, "threshold", "--lemma", "first0")
         assert code == 3
+
+    def test_lemma_without_a_scaling_coefficient_is_usage_error(self, capsys, monkeypatch):
+        def no_scan(*args, **kwargs):
+            raise AssertionError("a lemma with no certificate in beta must be rejected "
+                                 "before any scan")
+
+        monkeypatch.setattr(thresholds, "scan_profile", no_scan)
+        code, out, err = run(capsys, "threshold", "--lemma", "second-weighted")
+        assert (code, out) == (1, "")
+        assert "second-weighted has no coefficient beta that scales b" in err
 
     @pytest.mark.parametrize("tol", ["0", "-1e-4", "nan", "inf"])
     def test_bad_tol_is_usage_error(self, capsys, monkeypatch, tol):

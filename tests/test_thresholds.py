@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 
 from lemniscate import thresholds
-from lemniscate.admissibility import ConfigurationError, GridSpec, scan_profile
+from lemniscate.admissibility import ConfigurationError, GridSpec, _ray_minimum, scan_profile
+from lemniscate.boundary import jet_arrays
 from lemniscate.catalog import LEMMAS, get_lemma
 from lemniscate.cli import main
 from lemniscate.thresholds import (DEFAULT_SEARCH, BracketError, MonotonicityError,
@@ -235,14 +236,17 @@ class TestCenterBandReject:
         ("second-sum", None),  # second-order form, exact t-projection
     ])
     def test_band_rows_are_full_grid_rows(self, lemma_id, beta):
+        # each row of a scan is the row function on its theta alone, so the band
+        # a certificate reads first is what scanning those three rows would give
         lemma = get_lemma(lemma_id)
         form = lemma.make_form(beta)
-        grid = GridSpec()
-        c = grid.theta_points // 2
-        band = scan_profile(form, lemma.region, grid, lemma.n_class, rows=slice(c - 1, c + 2))
-        full = scan_profile(form, lemma.region, grid, lemma.n_class)
-        assert band.theta[1] == 0.0
-        assert np.array_equal(band.margins, full.margins[c - 1:c + 2])
+        full = scan_profile(form, lemma.region, GridSpec(), lemma.n_class)
+        c = len(full.theta) // 2
+        band = full.theta[c - 1:c + 2]
+        _, margins, _ = _ray_minimum(form, lemma.region, band, lambda th: jet_arrays(th, 1.0),
+                                     lemma.n_class)
+        assert band[1] == 0.0
+        assert np.array_equal(margins, full.margins[c - 1:c + 2])
 
     def test_shortcut_saves_full_scans_without_moving_the_bracket(self, monkeypatch):
         monkeypatch.setattr(thresholds, "certified_at", _full_scan_certified)
@@ -325,6 +329,19 @@ class TestMarginsOnlyRead:
             certified_at("one1", 2.0, unit=unit)
         assert certified_at("one1", 1.0, unit=unit) is False  # the band rejects first
 
+    def test_nan_beside_a_rejecting_row_rejects(self):
+        c = GridSpec().theta_points // 2
+
+        def nan_next_to_the_center(margins):
+            margins[c + 1, -1] = np.nan
+
+        unit = self._unit_with("one1", nan_next_to_the_center)
+        # below the bound the center row rejects, whatever its neighbour holds
+        assert certified_at("one1", 1.0, unit=unit) is False
+        # above it no finite row rejects, so the NaN refuses the step
+        with pytest.raises(ConfigurationError, match="nan, not finite"):
+            certified_at("one1", 2.0, unit=unit)
+
     def test_all_inf_table_raises(self):
         def all_inf(margins):
             margins[:] = np.inf
@@ -334,3 +351,15 @@ class TestMarginsOnlyRead:
         with np.errstate(over="ignore", invalid="ignore"):
             with pytest.raises(ConfigurationError, match="inf, not finite"):
                 certified_at("first3", 1e300, unit=unit)
+
+
+def test_table_and_grid_must_agree():
+    # the band's center is the table's; a 2001-row table on a 1001-point grid
+    # once read row 500 as the center and rejected certified coefficients
+    unit = _unit(get_lemma("first3"))
+    coarse = GridSpec(theta_points=1001)
+    for beta in (1.19, 1.25, 2.0):
+        assert certified_at("first3", beta, unit=unit)
+        assert certified_at("first3", beta, grid=coarse)
+        with pytest.raises(ConfigurationError, match="2001 rows, the grid 1001"):
+            certified_at("first3", beta, grid=coarse, unit=unit)

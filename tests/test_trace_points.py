@@ -52,13 +52,13 @@ def test_check_admissible_scans_through_scan_profile(monkeypatch):
 
 def test_certified_at_scans_through_scan_profile(monkeypatch):
     rows = _count_scans(monkeypatch, thresholds)
-    assert certified_at("one1", 2.0)  # the band passes, so the full profile decides
     unit = get_lemma("one1").make_form(1.0)
-    assert rows == [(unit, 3), (unit, GridSpec().theta_points)]
+    # a call on its own scans the full grid at beta = 1 once, whichever read decides
+    assert certified_at("one1", 2.0)  # the band passes, so every row decides
+    assert rows == [(unit, GridSpec().theta_points)]
     rows.clear()
     assert not certified_at("one1", 1.0)  # the band rejects
-    # a call on its own scans the band at beta = 1, and the full grid only if it passes
-    assert rows == [(unit, 3)]
+    assert rows == [(unit, GridSpec().theta_points)]
 
 
 @pytest.mark.parametrize("beta,points", [
@@ -96,3 +96,34 @@ def test_jet_counter_counts_the_points_each_scan_evaluates():
     # the search evaluates the unchecked unit jet, which the tracer does not wrap
     assert tracer.counts["boundary.jet_arrays.grid_points"] == 2001
     assert calls["boundary.jet_arrays.point"] == 0
+
+
+def test_the_tracer_reads_every_jet_call():
+    # the tracer reads m as the second positional argument of jet_arrays; every
+    # path that builds a jet passes it so
+    tracer = _spans_module().Tracer()
+    tracer.install()
+    tracer.active = True
+    try:
+        one0, weighted = get_lemma("one0"), get_lemma("second-weighted")
+        # a first-order witness through make_triple
+        first = admissibility.check_admissible(one0.make_form(1.0), one0.region,
+                                               n_class=one0.n_class)
+        # a second-order witness through second_order_min_distance and min_over_t
+        second = admissibility.check_admissible(weighted.make_form(1 / 6, 1 / 6),
+                                                weighted.region, n_class=weighted.n_class)
+        thresholds.find_beta_threshold("one1")
+    finally:
+        tracer.uninstall()
+    assert first.witness is not None and second.witness is not None
+    calls, _, _ = tracer.totals()
+    assert calls["boundary.make_triple"] == 2
+    assert calls["admissibility.min_over_t"] == 1
+    assert calls["admissibility.check_admissible"] == 2
+    assert calls["thresholds.find_beta_threshold"] == 1
+    # the two witnesses' triples and the t-projection at the second one
+    assert calls["boundary.jet_arrays.point"] == 3
+    # the three scans, and the second-order polish, whose rows go through the
+    # t-projection's checked jet
+    assert calls["boundary.jet_arrays.grid"] == 3 + 13
+    assert calls["catalog.second_order_min_distance"] == 1 + 13 + 1

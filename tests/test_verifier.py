@@ -5,7 +5,7 @@ from lemniscate.catalog import LEMMAS
 from lemniscate.geometry import DELTA, Disk
 from lemniscate.series import (NormalizationError, TruncatedSeries, p_of_f,
                                sqrt_one_plus_z_series)
-from lemniscate.verifier import (ImageProbe, ProbeSpec, hypothesis_series,
+from lemniscate.verifier import (ANGULAR_POINTS, RADIUS, ImageProbe, hypothesis_series,
                                  image_in_region, random_normalized_f,
                                  random_normalized_p, sharpness_probe_example2,
                                  verify_implication)
@@ -39,29 +39,20 @@ class TestImageInRegion:
         with pytest.raises(NormalizationError):
             image_in_region(TruncatedSeries.constant(1.0, 4), Disk(0j, 0.5))
 
-    def test_callable_evaluator(self):
-        # the exact map sends |z| = rho to |w^2 - 1| = rho: margin rho - 1
-        probe = image_in_region(lambda z: np.sqrt(1 + z), DELTA)
-        assert probe.max_margin == pytest.approx(-1e-3, abs=1e-9)
-
     def test_margins_monotone_in_radius(self):
+        # maximum principle: the largest margin grows with the circle, and the
+        # probe reads the outermost one
         for p in (sqrt_one_plus_z_series(96), random_normalized_p(16, seed=5)):
-            per_radius = []
-            for rho in (0.9, 0.99, 0.999):
-                spec = ProbeSpec(radius=rho)
-                per_radius.append(image_in_region(p, DELTA, spec).max_margin)
+            per_radius = [float(np.max(DELTA.margin(p.values_on_circle(rho, ANGULAR_POINTS))))
+                          for rho in (0.9, 0.99, RADIUS)]
             assert per_radius == sorted(per_radius)
+            assert per_radius[-1] == image_in_region(p, DELTA).max_margin
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
     def test_non_finite_series_rejected(self, bad):
         # nan gave a definite max_margin = nan, inf raised numpy warnings in the FFT
         with pytest.raises(NormalizationError, match="finite"):
             image_in_region(TruncatedSeries(np.array([1.0, bad, 0.1], dtype=complex)), DELTA)
-
-    @pytest.mark.parametrize("radius", [0.0, 1.0, -0.5, np.nan])
-    def test_radius_outside_the_open_unit_interval_is_rejected(self, radius):
-        with pytest.raises(ValueError, match="radius"):
-            ProbeSpec(radius=radius)
 
 
 def _three_level_reference(series, region, k=4096):
