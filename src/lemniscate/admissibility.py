@@ -42,28 +42,29 @@ profile minimizer that tightens the reported minimum and the violation
 witness; it can only lower the minimum, never raise it.  Each evaluation of
 the profile serves four of its steps (see :func:`_golden_min`).
 
-One row function, :func:`_ray_minimum`, serves the scan and the polish; each
-passes in the jet it reads.  The scan passes :func:`jet_arrays`, which
-checks the grid's theta.  The polish's bracket lies inside that grid, so it
-is checked once and every evaluation passes the unchecked
-:func:`~lemniscate.boundary.unit_jet`, the formula :func:`jet_arrays` is
-built on.  A ray whose line parameter overflows (a subnormal slope, from a
-beta near the bottom of the float range) has lost its candidates, so its
-limit is NaN, and the scan refuses it unless a finite row rejects.
+One row function, :func:`_ray_minimum`, serves the scan and the polish, and
+reads the one jet, :func:`~lemniscate.boundary.jet_arrays`, which checks
+nothing.  The scan's theta comes from :func:`~lemniscate.boundary.theta_grid`,
+which checks its end points, and every abscissa of the polish lies inside
+that grid; :func:`scan_profile` checks ``n_class`` before it scans.  A ray
+whose line parameter overflows (a subnormal slope, from a beta near the
+bottom of the float range) has lost its candidates, so its limit is NaN, and
+the scan refuses it unless a finite row rejects.
 """
 
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 from typing import NamedTuple, Optional
 
 import numpy as np
 
-from .boundary import (THETA_EPS, ConfigurationError, check_theta_margin,
-                       jet_arrays, make_triple, theta_grid, unit_jet)
+from .boundary import (THETA_EPS, ConfigurationError, check_point, check_theta_margin,
+                       jet_arrays, make_triple, theta_grid)
 from .catalog import ArityError, PsiForm, evaluate, second_order_min_distance
-from .geometry import Disk, Region, check_theta
+from .geometry import Disk, Region
 
 _GOLDEN = (np.sqrt(5.0) - 1.0) / 2.0
 _GOLDEN_ITERS = 48  # steps of the golden-section search in the polish
@@ -163,16 +164,16 @@ def _require_pairing(form: PsiForm, region: Region) -> None:
         raise ConfigurationError("second-order forms are checked against disk targets only")
 
 
-def _ray_minimum(form: PsiForm, region: Region, theta: np.ndarray, jet, n_class: int):
+def _ray_minimum(form: PsiForm, region: Region, theta: np.ndarray, n_class: int):
     """Least margin along each theta's boundary ray over m >= n_class and the m
     attaining it (inf where the least value is the limit as m -> inf), shapes (K,),
     and the rays they were read from (None for second-order forms).
 
-    ``jet(theta)`` gives r and sigma first (:func:`jet_arrays` at m = 1, or
-    :func:`unit_jet` for theta known to lie on the arc); a first-order form
-    reads its rays from it.  Each row's columns are the start m = n, the
-    region's candidates (0 where not finite and positive) and the limit
-    m = inf; a candidate counts past the start, and a tie goes to the start.
+    theta lies on the arc and n_class is an integer >= 1; neither is checked
+    here.  A first-order form reads its rays from the jet at m = 1.  Each row's
+    columns are the start m = n, the region's candidates (0 where not finite
+    and positive) and the limit m = inf; a candidate counts past the start, and
+    a tie goes to the start.
     """
     n = float(n_class)
     if form.order == 2:
@@ -182,9 +183,9 @@ def _ray_minimum(form: PsiForm, region: Region, theta: np.ndarray, jet, n_class:
         # B1 = kappa sigma with kappa real and > 0 (1 for b + c and a^2 + b + c,
         # gamma for gamma b + beta c) and coef > 0, so the vertex lies below
         # 2/3 < 1 <= n: h increases on [n, inf) and its least value is at m = n.
-        dist, _, _, _ = second_order_min_distance(form, region.center, theta, n)
+        dist = second_order_min_distance(form, region.center, theta, n)[0]
         return np.full(len(theta), n), dist[:, 0] - region.radius, None
-    r, sigma = jet(theta)[:2]
+    r, sigma = jet_arrays(theta, 1.0)[:2]
     with np.errstate(all="ignore"):  # the rules below decide what is not finite
         a, c = form.lead(r[:, 0]), form.slope(r[:, 0], sigma[:, 0])
         extra, tail = region.ray_extrema(a, c)
@@ -250,14 +251,16 @@ def min_over_t(form: PsiForm, triple, region: Region) -> TMinimum:
 
     psi is affine in t with a real positive coefficient, so the admissible
     image is a half-plane and the minimum is the projection of the disk
-    center onto it, as computed by :func:`second_order_min_distance`.
+    center onto it, as computed by :func:`second_order_min_distance`.  The
+    triple's theta and m are checked as :func:`make_triple` checks them.
     """
+    check_point(triple.theta, triple.m)
     if form.order != 2:
         raise ArityError("t-minimization applies to second-order forms only")
     if not isinstance(region, Disk):
         raise ConfigurationError("t-minimization needs a disk target")
-    dist, base, _, e3 = second_order_min_distance(
-        form, region.center, np.array([triple.theta]), triple.m)
+    dist, base, e3 = second_order_min_distance(
+        form, region.center, np.array([triple.theta]), float(triple.m))
     kappa = float(dist[0, 0])
     # the nearest image point is center + kappa e^{3i theta} (the center itself if kappa = 0)
     t_star = (region.center + kappa * e3[0, 0] - base[0, 0]) / float(form.t_coefficient)
@@ -266,14 +269,13 @@ def min_over_t(form: PsiForm, triple, region: Region) -> TMinimum:
 
 def _polish(form, region, theta, i, n_class):
     """Golden-section search over theta for the profile minimizer, between its grid
-    neighbours.  Every abscissa lies in that bracket, so it is checked once."""
+    neighbours, so every abscissa lies inside the scan's grid."""
     lo = float(theta[max(i - 1, 0)])
     hi = float(theta[min(i + 1, len(theta) - 1)])
-    check_theta(np.array([lo, hi]))
     seen = []  # each evaluation's abscissae and m, so the minimizer's needs no new scan
 
     def f(x):
-        m, margins, _ = _ray_minimum(form, region, x, unit_jet, n_class)
+        m, margins, _ = _ray_minimum(form, region, x, n_class)
         seen.append((x, m))
         return margins
 
@@ -305,12 +307,13 @@ def scan_profile(form: PsiForm, region: Region, grid: GridSpec = GridSpec(),
 
     ``argmin`` is the :func:`deciding_row` for the floor ``-grid.eps_adm``, so
     a non-finite minimum raises ConfigurationError unless a finite row lies
-    below that floor.
+    below that floor.  ``n_class`` must be an integer >= 1.
     """
     _require_pairing(form, region)
+    if not (isinstance(n_class, numbers.Integral) and n_class >= 1):
+        raise ConfigurationError("n_class must be an integer >= 1")
     theta = grid.theta_grid()
-    m, margins, rays = _ray_minimum(form, region, theta, lambda th: jet_arrays(th, 1.0),
-                                    n_class)
+    m, margins, rays = _ray_minimum(form, region, theta, n_class)
     return Profile(theta, m, margins, deciding_row(margins, -grid.eps_adm), rays)
 
 

@@ -15,6 +15,11 @@ together with a half-plane constraint on the second-order slot t:
 which is the same set as {t : Re(t/s + 1) >= 3m/4}.  The curvature quantity
 Re(zeta q''/q' + 1) is identically 3/4 on the whole arc.
 
+:func:`jet_arrays` is the one builder of (r, s) and checks nothing;
+:func:`tau_min` is the one expression for the offset.  theta and m are
+checked where they enter the package: :func:`theta_grid` checks its end
+points, and :func:`make_triple` checks its (theta, m) with :func:`check_point`.
+
 theta grids come from :func:`theta_grid`, clamped to
 [-pi/4 + margin, pi/4 - margin] (default margin THETA_EPS); sec(2*theta)
 diverges at the endpoints.  Most catalogued objectives carry a positive
@@ -50,13 +55,22 @@ def check_theta_margin(margin: float) -> None:
 def theta_grid(points: int, margin: float = THETA_EPS) -> np.ndarray:
     """``points`` equispaced theta on [-pi/4 + margin, pi/4 - margin].
 
-    An odd count puts the center line theta = 0 exactly on the grid.
+    An odd count puts the center line theta = 0 exactly on the grid.  Raises
+    DomainError where an end point rounds onto pi/4 (a margin below its ulp).
     """
     check_theta_margin(margin)
+    check_theta([-QUARTER_PI + margin, QUARTER_PI - margin])
     th = np.linspace(-QUARTER_PI + margin, QUARTER_PI - margin, points)
     if points % 2 == 1:
         th[points // 2] = 0.0
     return th
+
+
+def check_point(theta: float, m: float) -> None:
+    """Raise DomainError unless |theta| < pi/4 and m >= 1."""
+    check_theta(theta)
+    if not m >= 1.0:  # also rejects NaN
+        raise DomainError("m must be >= 1")
 
 
 @dataclass(frozen=True)
@@ -72,11 +86,11 @@ class AdmissibleTriple:
 
 def make_triple(theta: float, m: float) -> AdmissibleTriple:
     """Assemble the admissibility data at (theta, m); m >= 1, |theta| < pi/4."""
-    r, s, tau, _ = jet_arrays(np.array([float(theta)]), float(m))
-    return AdmissibleTriple(
-        theta=float(theta), m=float(m), r=complex(r[0, 0]), s=complex(s[0, 0]),
-        tau_min=float(tau[0, 0]),
-    )
+    theta, m = float(theta), float(m)
+    check_point(theta, m)
+    r, s, _, root = jet_arrays(np.array([theta]), m)
+    return AdmissibleTriple(theta=theta, m=m, r=complex(r[0, 0]), s=complex(s[0, 0]),
+                            tau_min=float(tau_min(m, root)[0, 0]))
 
 
 def curvature_identity(theta: float) -> float:
@@ -88,32 +102,27 @@ def curvature_identity(theta: float) -> float:
 
 
 # ---------------------------------------------------------------------------
-# vectorized builder used by the scanner
-
-def unit_jet(theta: np.ndarray):
-    """The jet at m = 1 on each theta, which is not checked.
-
-    Returns (r, sigma, e3, root): r, sigma = s/m and e3 = e^{3i*theta} as
-    columns (K,1), and root = sqrt(2 cos 2*theta) of shape (K,).  For theta
-    inside a grid that :func:`jet_arrays` has checked.
-    """
-    root = np.sqrt(2.0 * np.cos(2.0 * theta))
-    e3 = np.exp(3j * theta)[:, None]
-    return (root * np.exp(1j * theta))[:, None], e3 / (2.0 * root)[:, None], e3, root
-
+# vectorized builders used by the scanner
 
 def jet_arrays(theta: np.ndarray, m: float):
-    """Boundary data at one m >= 1 on each theta.
+    """The boundary jet at one m on each theta of a 1-D array.
 
-    Returns (r, s, tau_min, e3) as columns of shape (K,1), so the psi-forms
-    broadcast against them without copies.  tau_min is +inf where m(3m - 4)
-    exceeds the float range (m above ~1e154), which is its correctly rounded
-    value.
+    Returns (r, s, e3, root), with e3 = e^{3i*theta} and
+    root = sqrt(2 cos 2*theta), each a column of shape (K,1), so the psi-forms
+    broadcast against them without copies.  Nothing is checked here: theta
+    and m are checked where they enter the package (:func:`theta_grid`,
+    :func:`check_point`).
     """
-    check_theta(theta)
-    if not m >= 1.0:  # also rejects NaN
-        raise DomainError("m must be >= 1")
-    r, sigma, e3, root = unit_jet(theta)
-    with np.errstate(over="ignore"):
-        tau = (m * (3.0 * m - 4.0)) / (8.0 * root)[:, None]
-    return r, sigma * m, tau, e3
+    root = np.sqrt(2.0 * np.cos(2.0 * theta))[:, None]
+    e3 = np.exp(3j * theta)[:, None]
+    return root * np.exp(1j * theta)[:, None], e3 / (2.0 * root) * m, e3, root
+
+
+def tau_min(m: float, root: np.ndarray) -> np.ndarray:
+    """The t half-plane offset m(3m - 4)/(8 root) at each root of :func:`jet_arrays`.
+
+    m is a Python float, so m(3m - 4) rounds to +inf without a warning where
+    it exceeds the float range (m above ~1e154), which is the offset's
+    correctly rounded value.
+    """
+    return (m * (3.0 * m - 4.0)) / (8.0 * root)

@@ -45,7 +45,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from . import geometry
-from .boundary import jet_arrays
+from .boundary import jet_arrays, tau_min
 from .geometry import DELTA, Disk, HalfPlaneReLess, MoebiusDisk
 
 SQRT2 = np.sqrt(2.0)
@@ -269,7 +269,7 @@ def second_order_min_distance(form: PsiForm, center: complex, theta: np.ndarray,
 
         dist = max(0, coef * tau_min - Re((center - base) e^{-3i*theta})).
 
-    Returns (dist, base, tau, e3), columns of shape (K,1) as in
+    Returns (dist, base, e3), columns of shape (K,1) as in
     :func:`jet_arrays`, so callers can reconstruct the minimizer.
     """
     if form.order != 2:
@@ -277,11 +277,10 @@ def second_order_min_distance(form: PsiForm, center: complex, theta: np.ndarray,
     coef = float(form.t_coefficient)
     if coef <= 0.0:
         raise ParameterError("degenerate t coefficient")
-    r, s, tau, e3 = jet_arrays(theta, m)
+    r, s, e3, root = jet_arrays(theta, m)
     base = form.base(r, s)
     phi = ((center - base) * np.conj(e3)).real
-    dist = np.maximum(0.0, coef * tau - phi)
-    return dist, base, tau, e3
+    return np.maximum(0.0, coef * tau_min(m, root) - phi), base, e3
 
 
 # ---------------------------------------------------------------------------

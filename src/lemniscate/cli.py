@@ -22,7 +22,7 @@ from pathlib import Path
 
 from . import __version__
 from .admissibility import GridSpec, check_admissible
-from .boundary import THETA_EPS, jet_arrays, theta_grid
+from .boundary import THETA_EPS, jet_arrays, tau_min, theta_grid
 from .catalog import LEMMAS, ParameterError, UnknownLemmaError, get_lemma
 from .geometry import lemniscate_boundary
 from .series import TruncatedSeries
@@ -246,9 +246,10 @@ def _cmd_boundary(ns) -> int:
         lemma = get_lemma(ns.psi)
         beta, gamma = _resolve_params(lemma, ns)
         form = lemma.make_form(beta, gamma)
-        r, s, tau, e3 = jet_arrays(theta, 1.0)
+        r, s, e3, root = jet_arrays(theta, 1.0)
         # second-order values shown at the constraint-boundary t
-        psi = (form.value(r, s, tau * e3) if form.order == 2 else form.value(r, s))[:, 0]
+        psi = (form.value(r, s, tau_min(1.0, root) * e3) if form.order == 2
+               else form.value(r, s))[:, 0]
         columns += ["psi_re", "psi_im"]
         data += [psi.real, psi.imag]
     if ns.format == "json":

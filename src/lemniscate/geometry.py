@@ -41,8 +41,8 @@ class PoleError(ValueError):
 
 
 def check_theta(theta) -> None:
-    """Raise DomainError unless every |theta| < pi/4, the open arc of the loop."""
-    if np.any(np.abs(np.asarray(theta, dtype=np.float64)) >= QUARTER_PI):
+    """Raise DomainError unless every |theta| < pi/4, the open arc of the loop (NaN is not)."""
+    if not np.all(np.abs(np.asarray(theta, dtype=np.float64)) < QUARTER_PI):
         raise DomainError("theta must satisfy |theta| < pi/4")
 
 

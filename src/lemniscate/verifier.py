@@ -39,8 +39,6 @@ MAX_ORDER = 2048
 
 @dataclass(frozen=True)
 class ImageProbe:
-    radius: float
-    angular_points: int
     max_margin: float
     worst_point: tuple  # (z, w) at the largest margin
 
@@ -89,7 +87,7 @@ def image_in_region(p: TruncatedSeries, region: Region) -> ImageProbe:
     margins = np.asarray(region.margin(w))
     idx = int(np.argmax(margins))
     z = RADIUS * np.exp(2j * np.pi * idx / ANGULAR_POINTS)
-    return ImageProbe(RADIUS, ANGULAR_POINTS, float(margins[idx]), (complex(z), complex(w[idx])))
+    return ImageProbe(float(margins[idx]), (complex(z), complex(w[idx])))
 
 
 def hypothesis_series(lemma: LemmaSpec | str, p: TruncatedSeries,

@@ -7,19 +7,14 @@ from lemniscate import admissibility
 from lemniscate.admissibility import (_GOLDEN, ConfigurationError, GridSpec,
                                       _golden_min, _ray_minimum, check_admissible,
                                       min_over_t, scan_profile)
-from lemniscate.boundary import jet_arrays, make_triple, unit_jet
+from lemniscate.boundary import AdmissibleTriple, jet_arrays, make_triple
 from lemniscate.catalog import (LEMMAS, FirstOrderPlus, SecondOrderSum,
                                 SecondOrderWeighted, closed_form_g, direct_objective,
                                 evaluate, get_lemma)
-from lemniscate.geometry import DELTA, Disk
+from lemniscate.geometry import DELTA, Disk, DomainError
 
 SQRT2 = np.sqrt(2.0)
 FAST = GridSpec(theta_points=1001)
-
-
-def grid_jet(theta):
-    """The scan's jet: checked theta, m = 1."""
-    return jet_arrays(theta, 1.0)
 
 
 def check_lemma(lemma_id, beta=None, gamma=None, grid=GridSpec(), n_class=None):
@@ -202,6 +197,11 @@ class TestMinOverT:
         triple = make_triple(0.0, 1.0)
         with pytest.raises(ConfigurationError):
             min_over_t(SecondOrderSum(), triple, DELTA)
+        # a caller's triple is checked as make_triple checks its (theta, m)
+        for theta, m in ((0.9, 1.0), (0.0, 0.5)):
+            bad = AdmissibleTriple(theta, m, triple.r, triple.s, triple.tau_min)
+            with pytest.raises(DomainError):
+                min_over_t(SecondOrderSum(), bad, Disk(0j, 0.1))
 
 
 def _min_is_centered(prof, tol=1e-12):
@@ -237,6 +237,22 @@ class TestScanProfile:
         verdict = check_lemma("one1", 2.0, grid=FAST)
         # polish can only go at or below the grid profile minimum
         assert verdict.min_objective_seen <= prof.minimum + 1e-15
+
+    @pytest.mark.parametrize("n_class", [0.5, 0, -1, np.nan])
+    @pytest.mark.parametrize("lemma_id", ["first3", "second-sum"])
+    def test_n_class_must_be_an_integer_at_least_one(self, monkeypatch, lemma_id, n_class):
+        # rejected before any row is scanned: a first-order scan used to start
+        # its rays at m = 0.5 (first3 read a least margin of 0.185, against
+        # 0.466 at n = 1), and a second-order one failed inside the jet
+        rows = []
+        monkeypatch.setattr(admissibility, "_ray_minimum",
+                            lambda *args: rows.append(args) or _ray_minimum(*args))
+        lemma = get_lemma(lemma_id)
+        form = lemma.make_form(lemma.default_beta)
+        for scan in (scan_profile, check_admissible):
+            with pytest.raises(ConfigurationError, match="n_class"):
+                scan(form, lemma.region, FAST, n_class)
+        assert rows == []
 
     def test_minimum_is_the_first_least_margin(self):
         lemma = get_lemma("first3")
@@ -368,8 +384,7 @@ class TestGridHygiene:
             lemma = get_lemma(lemma_id)
             form = lemma.make_form(lemma.default_beta, lemma.default_gamma)
             verdict = check_admissible(form, lemma.region, FAST, n_class=lemma.n_class)
-            near = _ray_minimum(form, lemma.region, np.array([edge]), grid_jet,
-                                lemma.n_class)[1][0]
+            near = _ray_minimum(form, lemma.region, np.array([edge]), lemma.n_class)[1][0]
             assert near >= verdict.min_objective_seen - 1e-12, lemma_id
 
     def test_even_theta_count_becomes_odd(self):
@@ -451,44 +466,15 @@ class TestBatchedPolish:
             assert repr(got) == repr(want), case
 
     def test_one_scan_and_one_batched_search(self, monkeypatch):
-        grid, polish = [], []
+        shapes = []
 
-        def counting(jet, shapes):
-            def wrapper(theta, *m):
-                out = jet(theta, *m)
-                shapes.append(out[1].shape)
-                return out
-            return wrapper
-
-        monkeypatch.setattr(admissibility, "jet_arrays", counting(jet_arrays, grid))
-        monkeypatch.setattr(admissibility, "unit_jet", counting(unit_jet, polish))
-        check_lemma("first3", 1.25)
-        # one checked jet for the scan, whose grid holds the polish's bracket; one
-        # unchecked jet per evaluation of the search: its two opening points and
-        # 12 batches of 4 steps; the minimizer's m was seen
-        assert grid == [(2001, 1)]
-        assert polish == [(2, 1)] + 12 * [(15, 1)]
-
-    def test_polish_rows_are_the_scan_rows(self, monkeypatch):
-        # the polish's unchecked jet gives the rows the scan's checked jet gives
-        calls = []
-
-        def recording(form, region, theta, jet, n_class):
-            out = _ray_minimum(form, region, theta, jet, n_class)
-            if jet is unit_jet:
-                calls.append((form, region, theta, n_class, out))
+        def counting(theta, m):
+            out = jet_arrays(theta, m)
+            shapes.append(out[1].shape)
             return out
 
-        monkeypatch.setattr(admissibility, "_ray_minimum", recording)
-        for lemma_id, beta, gamma in SAMPLED:
-            if get_lemma(lemma_id).order != 1:
-                continue
-            calls.clear()
-            check_lemma(lemma_id, beta, gamma)
-            # the two opening points and the first batch
-            assert [len(call[2]) for call in calls[:2]] == [2, 15]
-            for form, region, theta, n_class, polish in calls[:2]:
-                scan = _ray_minimum(form, region, theta, grid_jet, n_class)
-                for got, want in zip(polish[:2], scan[:2]):  # m, then the margin
-                    assert [x.hex() for x in got.tolist()] == [x.hex() for x in want.tolist()], \
-                        (lemma_id, beta, gamma)
+        monkeypatch.setattr(admissibility, "jet_arrays", counting)
+        check_lemma("first3", 1.25)
+        # one jet for the scan, then one per evaluation of the search: its two
+        # opening points and 12 batches of 4 steps; the minimizer's m was seen
+        assert shapes == [(2001, 1), (2, 1)] + 12 * [(15, 1)]

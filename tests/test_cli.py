@@ -431,3 +431,18 @@ def test_unwritable_output_is_usage_error(tmp_path, capsys):
     assert code == 1
     assert out == ""
     assert err.startswith("error:") and "x.csv" in err
+
+
+@pytest.mark.parametrize("argv", [
+    ["check", "--lemma", "first3"],
+    ["check", "--lemma", "second-sum"],
+    ["threshold", "--lemma", "one0"],
+    ["boundary", "--points", "5"],
+    ["boundary", "--points", "5", "--psi", "second-sum"],
+])
+def test_theta_margin_below_an_ulp_of_pi_over_four_is_usage_error(capsys, argv):
+    # pi/4 - 1e-300 rounds to pi/4: the grid's end points leave the open arc
+    code, out, err = run(capsys, *argv, "--theta-margin", "1e-300")
+    assert code == 1
+    assert out == ""
+    assert "theta must satisfy |theta| < pi/4" in err

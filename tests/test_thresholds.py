@@ -5,7 +5,6 @@ import pytest
 
 from lemniscate import thresholds
 from lemniscate.admissibility import ConfigurationError, GridSpec, _ray_minimum, scan_profile
-from lemniscate.boundary import jet_arrays
 from lemniscate.catalog import LEMMAS, get_lemma
 from lemniscate.cli import main
 from lemniscate.thresholds import (DEFAULT_SEARCH, BracketError, MonotonicityError,
@@ -243,8 +242,7 @@ class TestCenterBandReject:
         full = scan_profile(form, lemma.region, GridSpec(), lemma.n_class)
         c = len(full.theta) // 2
         band = full.theta[c - 1:c + 2]
-        _, margins, _ = _ray_minimum(form, lemma.region, band, lambda th: jet_arrays(th, 1.0),
-                                     lemma.n_class)
+        _, margins, _ = _ray_minimum(form, lemma.region, band, lemma.n_class)
         assert band[1] == 0.0
         assert np.array_equal(margins, full.margins[c - 1:c + 2])
 

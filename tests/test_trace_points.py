@@ -92,9 +92,9 @@ def test_jet_counter_counts_the_points_each_scan_evaluates():
     finally:
         tracer.uninstall()
     calls, _, _ = tracer.totals()
-    # one checked jet, the scan's; the polish's bracket lies inside its grid, so
-    # the search evaluates the unchecked unit jet, which the tracer does not wrap
-    assert tracer.counts["boundary.jet_arrays.grid_points"] == 2001
+    # the scan's jet of 2001 rows, then one per evaluation of the search: its
+    # two opening points and 12 batches of 15
+    assert tracer.counts["boundary.jet_arrays.grid_points"] == 2001 + 2 + 12 * 15
     assert calls["boundary.jet_arrays.point"] == 0
 
 
@@ -123,7 +123,6 @@ def test_the_tracer_reads_every_jet_call():
     assert calls["thresholds.find_beta_threshold"] == 1
     # the two witnesses' triples and the t-projection at the second one
     assert calls["boundary.jet_arrays.point"] == 3
-    # the three scans, and the second-order polish, whose rows go through the
-    # t-projection's checked jet
-    assert calls["boundary.jet_arrays.grid"] == 3 + 13
+    # the three scans, and the 13 evaluations of each verdict's polish
+    assert calls["boundary.jet_arrays.grid"] == 3 + 2 * 13
     assert calls["catalog.second_order_min_distance"] == 1 + 13 + 1
