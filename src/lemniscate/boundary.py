@@ -53,16 +53,20 @@ def check_theta_margin(margin: float) -> None:
 
 
 def theta_grid(points: int, margin: float = THETA_EPS) -> np.ndarray:
-    """``points`` equispaced theta on [-pi/4 + margin, pi/4 - margin].
+    """``points`` equispaced theta on [-pi/4 + margin, pi/4 - margin], exactly mirrored.
 
-    An odd count puts the center line theta = 0 exactly on the grid.  Raises
+    The theta <= 0 half is ``np.linspace``'s, and the positive half is its
+    negated mirror image, so ``th == -th[::-1]`` holds bit for bit; an odd
+    count puts the center line theta = 0 exactly on the grid.  Raises
     DomainError where an end point rounds onto pi/4 (a margin below its ulp).
     """
     check_theta_margin(margin)
     check_theta([-QUARTER_PI + margin, QUARTER_PI - margin])
     th = np.linspace(-QUARTER_PI + margin, QUARTER_PI - margin, points)
+    h = points // 2
     if points % 2 == 1:
-        th[points // 2] = 0.0
+        th[h] = 0.0
+    th[points - h:] = -th[:h][::-1]
     return th
 
 

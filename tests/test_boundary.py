@@ -1,9 +1,9 @@
 import numpy as np
 import pytest
 
-from lemniscate.boundary import (AdmissibleTriple, curvature_identity, jet_arrays,
-                                 make_triple)
-from lemniscate.geometry import DomainError, lemniscate_boundary
+from lemniscate.boundary import (THETA_EPS, AdmissibleTriple, curvature_identity,
+                                 jet_arrays, make_triple, theta_grid)
+from lemniscate.geometry import QUARTER_PI, DomainError, lemniscate_boundary
 
 SQRT2 = np.sqrt(2.0)
 
@@ -51,6 +51,18 @@ class TestMakeTriple:
                 minus = make_triple(-theta, m)
                 assert minus.r == pytest.approx(np.conj(plus.r), abs=1e-15)
                 assert minus.s == pytest.approx(np.conj(plus.s), abs=1e-15)
+
+
+@pytest.mark.parametrize("points", [2, 3, 10, 41, 2001])
+def test_theta_grid_is_mirrored_linspace(points):
+    th = theta_grid(points)
+    assert np.array_equal(th, -th[::-1])
+    # the theta <= 0 half is linspace's, but for the center line set to 0.0
+    half = points - points // 2
+    expected = np.linspace(-QUARTER_PI + THETA_EPS, QUARTER_PI - THETA_EPS, points)[:half]
+    if points % 2:
+        expected[-1] = 0.0
+    assert np.array_equal(th[:half], expected)
 
 
 class TestCurvatureIdentity:
