@@ -31,7 +31,11 @@ beta:
 per row, the start, and one minimum in which a candidate counts where u > beta n.
 
 :func:`scan_profile` is the only code that scans: it builds the theta grid,
-the table, each row's least margin and their minimum once.  A finite row
+the table, each row's least margin and their minimum once.  Where every
+coefficient of the form and of the region is real the profile is even in
+theta, row for row on the mirrored grid, so the scan evaluates the rows
+theta >= 0 and mirrors them, and the table holds those rows, center first;
+only sq-1 with a complex beta scans every row.  A finite row
 below ``-eps_adm`` decides the scan whatever NaN rows sit beside it; any other
 non-finite minimum is a ConfigurationError.  The scan is purely functional and
 its minimum a min-reduction, so results are bit-identical for a given grid.  The
@@ -145,7 +149,8 @@ class Profile:
     ``argmin`` is the row that decides the scan (:func:`deciding_row`): the
     first least margin, or a finite one below ``-eps_adm`` beside NaN rows.
     ``rays`` is the table the scan of a first-order form was reduced from
-    (None for second-order forms).
+    (None for second-order forms): the rows theta >= 0, center first, where
+    the profile is even (:func:`_even_profile`), and every row otherwise.
     """
 
     theta: np.ndarray
@@ -301,6 +306,20 @@ def deciding_row(least: np.ndarray, floor: float) -> int:
     raise ConfigurationError(f"the scan's minimum margin is {least[i]}, not finite")
 
 
+def _even_profile(form: PsiForm, region: Region) -> bool:
+    """True where the profile is even in theta: every coefficient of the form
+    and of the region is real.
+
+    The jet at -theta is the conjugate of the jet at theta, a psi with real
+    coefficients maps conjugate slots to the conjugate value, and a region with
+    real coefficients is symmetric about the real axis, so conjugates have the
+    same margin.  On the mirrored grid of :func:`~lemniscate.boundary.theta_grid`
+    the rows theta and -theta then agree bit for bit.  Of the catalogued
+    lemmas only sq-1 with a complex beta fails it.
+    """
+    return not any(complex(v).imag for v in [*vars(form).values(), *vars(region).values()])
+
+
 def scan_profile(form: PsiForm, region: Region, grid: GridSpec = GridSpec(),
                  n_class: int = 1) -> Profile:
     """Least margin over m >= ``n_class`` on the boundary ray of each theta of the grid.
@@ -313,7 +332,11 @@ def scan_profile(form: PsiForm, region: Region, grid: GridSpec = GridSpec(),
     if not (isinstance(n_class, numbers.Integral) and n_class >= 1):
         raise ConfigurationError("n_class must be an integer >= 1")
     theta = grid.theta_grid()
-    m, margins, rays = _ray_minimum(form, region, theta, n_class)
+    # an even profile is scanned from the center row on and mirrored
+    c = len(theta) // 2 if _even_profile(form, region) else 0
+    m, margins, rays = _ray_minimum(form, region, theta[c:], n_class)
+    if c:
+        m, margins = (np.concatenate([x[:0:-1], x]) for x in (m, margins))
     return Profile(theta, m, margins, deciding_row(margins, -grid.eps_adm), rays)
 
 

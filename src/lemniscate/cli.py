@@ -24,7 +24,6 @@ from . import __version__
 from .admissibility import GridSpec, check_admissible
 from .boundary import THETA_EPS, jet_arrays, tau_min, theta_grid
 from .catalog import LEMMAS, ParameterError, UnknownLemmaError, get_lemma
-from .geometry import lemniscate_boundary
 from .series import TruncatedSeries
 from .thresholds import (DEFAULT_SEARCH, DEFAULT_TOL, BracketError,
                          MonotonicityError, find_beta_threshold)
@@ -239,14 +238,13 @@ def _cmd_boundary(ns) -> int:
     if not ns.psi and (ns.beta is not None or ns.beta_im or ns.gamma is not None):
         raise ParameterError("--beta, --beta-im and --gamma need --psi")
     theta = theta_grid(ns.points, ns.theta_margin)
-    w = lemniscate_boundary(theta)
+    r, s, e3, root = jet_arrays(theta, 1.0)  # w is the jet's r
     columns = ["theta", "re_w", "im_w"]
-    data = [theta, w.real, w.imag]
+    data = [theta, r[:, 0].real, r[:, 0].imag]
     if ns.psi:
         lemma = get_lemma(ns.psi)
         beta, gamma = _resolve_params(lemma, ns)
         form = lemma.make_form(beta, gamma)
-        r, s, e3, root = jet_arrays(theta, 1.0)
         # second-order values shown at the constraint-boundary t
         psi = (form.value(r, s, tau_min(1.0, root) * e3) if form.order == 2
                else form.value(r, s))[:, 0]

@@ -291,6 +291,88 @@ class TestScanProfile:
         assert not check_admissible(lemma.make_form(1.0), lemma.region, FAST).admissible
 
 
+def _real_draws(rng, draws=6):
+    """(lemma_id, beta, gamma) at random real coefficients in [0.05, 20]."""
+    cases = []
+    for lemma_id, lemma in LEMMAS.items():
+        if lemma.params == "none":
+            cases.append((lemma_id, None, None))
+            continue
+        for _ in range(draws):
+            beta, gamma = rng.uniform(0.05, 20.0, 2)
+            cases.append((lemma_id, float(beta),
+                          float(gamma) if lemma.params == "beta-gamma" else None))
+    return cases
+
+
+REAL_DRAWS = _real_draws(np.random.default_rng(31))
+# violations, whose verdicts read the witness from the scan's argmin
+REAL_VIOLATIONS = [("first3", 0.2, None), ("first4", 0.5, None), ("moebius", 1.0, None),
+                   ("one0", 1.0, None), ("one1", 0.8, None), ("one2", 1.0, None),
+                   ("sq2", 0.3, None), ("second-weighted", 1 / 6, 1 / 6)]
+
+
+class TestHalfArc:
+    """A profile with real coefficients is even in theta, so the scan reads theta >= 0."""
+
+    @staticmethod
+    def _full_arc(lemma_id, beta, gamma):
+        """(m, margins, rays) of every row of the default grid, not mirrored."""
+        lemma = get_lemma(lemma_id)
+        return _ray_minimum(lemma.make_form(beta, gamma), lemma.region,
+                            GridSpec().theta_grid(), lemma.n_class)
+
+    @pytest.mark.parametrize("lemma_id,beta,gamma", REAL_DRAWS)
+    def test_real_coefficient_profiles_are_bitwise_even(self, lemma_id, beta, gamma):
+        # the premise of the half scan: rows theta and -theta of the mirrored grid agree
+        m, margins, _ = self._full_arc(lemma_id, beta, gamma)
+        assert np.array_equal(m, m[::-1])
+        assert np.array_equal(margins, margins[::-1])
+
+    @pytest.mark.parametrize("lemma_id,beta,gamma",
+                             _real_draws(np.random.default_rng(37), 1) + REAL_VIOLATIONS)
+    def test_half_scan_is_the_full_scan(self, monkeypatch, lemma_id, beta, gamma):
+        rows = []
+        monkeypatch.setattr(admissibility, "_ray_minimum",
+                            lambda *args: rows.append(len(args[2])) or _ray_minimum(*args))
+        lemma = get_lemma(lemma_id)
+        form = lemma.make_form(beta, gamma)
+        grid = GridSpec()
+        prof = scan_profile(form, lemma.region, grid, lemma.n_class)
+        monkeypatch.undo()
+        m, margins, rays = self._full_arc(lemma_id, beta, gamma)
+        c = grid.theta_points // 2
+        assert rows == [c + 1]
+        assert np.array_equal(prof.m, m) and np.array_equal(prof.margins, margins)
+        assert prof.argmin == int(np.argmin(margins))
+        # the table holds the rows theta >= 0, center first
+        assert (prof.rays is None) == (rays is None)
+        for half, full in zip(prof.rays or (), rays or ()):
+            assert np.array_equal(half, full[c:])
+
+    @pytest.mark.parametrize("beta", [1.0 + 1.0j, 0.3 - 7.0j])
+    def test_complex_beta_scans_the_full_arc(self, monkeypatch, beta):
+        rows = []
+        monkeypatch.setattr(admissibility, "jet_arrays",
+                            lambda theta, m: rows.append(len(theta)) or jet_arrays(theta, m))
+        lemma, grid = get_lemma("sq-1"), GridSpec()
+        prof = scan_profile(lemma.make_form(beta), lemma.region, grid, lemma.n_class)
+        monkeypatch.undo()
+        m, margins, _ = self._full_arc("sq-1", beta, None)
+        assert rows == [grid.theta_points]
+        assert len(prof.rays.m) == grid.theta_points
+        assert np.array_equal(prof.m, m) and np.array_equal(prof.margins, margins)
+        assert prof.argmin == int(np.argmin(margins))
+
+    def test_a_tie_goes_to_the_negative_side(self):
+        # first3 below its bound is least off the center line, on both sides alike
+        lemma = get_lemma("first3")
+        prof = scan_profile(lemma.make_form(0.5), lemma.region, GridSpec(), lemma.n_class)
+        i = prof.argmin
+        assert prof.theta[i] < -0.01
+        assert prof.margins[-1 - i] == prof.minimum and prof.theta[-1 - i] == -prof.theta[i]
+
+
 @pytest.mark.parametrize("beta", [1e-300, 1e-30, 1.0, 1e100])
 def test_ray_slope_does_not_cancel(beta):
     # at beta = 1e-30, psi = a + beta b/a^4 at b = sigma rounds to a; the slope is not a difference
@@ -475,6 +557,6 @@ class TestBatchedPolish:
 
         monkeypatch.setattr(admissibility, "jet_arrays", counting)
         check_lemma("first3", 1.25)
-        # one jet for the scan, then one per evaluation of the search: its two
-        # opening points and 12 batches of 4 steps; the minimizer's m was seen
-        assert shapes == [(2001, 1), (2, 1)] + 12 * [(15, 1)]
+        # one jet for the scan of theta >= 0, then one per evaluation of the search:
+        # its two opening points and 12 batches of 4 steps; the minimizer's m was seen
+        assert shapes == [(1001, 1), (2, 1)] + 12 * [(15, 1)]

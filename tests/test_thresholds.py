@@ -271,14 +271,21 @@ class TestCenterBandReject:
         assert scans == [GridSpec().theta_points]  # the rays at beta = 1 serve every step
 
 
-def _profile_read_certified(lemma_id, beta, unit):
+def _full_arc_rays(lemma):
+    """The table of the lemma's form at beta = 1 over every row of the grid, both
+    sides of the center line, scanned without scan_profile's mirroring."""
+    form = lemma.make_form(1.0)
+    return _ray_minimum(form, lemma.region, GridSpec().theta_grid(), lemma.n_class)[2]
+
+
+def _profile_read_certified(lemma_id, beta, rays):
     """The certificate as each step read it before: the least margin of each band
-    row and then of every row, from the unit rays by a per-row argmin."""
+    row and then of every row, from the full-arc unit rays by a per-row argmin."""
     lemma, grid = get_lemma(lemma_id), GridSpec()
     form, n = lemma.make_form(beta), float(lemma.n_class)
 
     def least(rows):
-        r, sigma, m, margins = (column[rows] for column in unit.rays)
+        r, sigma, m, margins = (column[rows] for column in rays)
         start = np.asarray(lemma.region.margin(form.value(r, sigma * n)))
         margins = np.concatenate([start, np.where(m > beta * n, margins, np.inf)], axis=1)
         j = np.argmin(margins, axis=1)
@@ -305,10 +312,10 @@ class TestMarginsOnlyRead:
     @pytest.mark.parametrize("lemma_id", THRESHOLDED)
     def test_agrees_with_the_profile_read(self, lemma_id):
         lemma = get_lemma(lemma_id)
-        unit = _unit(lemma)
+        unit, rays = _unit(lemma), _full_arc_rays(lemma)
         for beta in _betas(lemma) + [5e-324, 1e-300, 1e-30]:
             assert (_outcome(certified_at, lemma_id, float(beta), GridSpec(), unit)
-                    == _outcome(_profile_read_certified, lemma_id, float(beta), unit)), beta
+                    == _outcome(_profile_read_certified, lemma_id, float(beta), rays)), beta
 
     @staticmethod
     def _unit_with(lemma_id, edit):
@@ -319,19 +326,17 @@ class TestMarginsOnlyRead:
         return dataclasses.replace(unit, rays=unit.rays._replace(margins=margins))
 
     def test_nan_off_the_band_raises_only_when_the_band_passes(self):
-        def nan_in_first_row_limit(margins):  # the limit column always counts
-            margins[0, -1] = np.nan
+        def nan_in_last_row_limit(margins):  # the limit column always counts
+            margins[-1, -1] = np.nan
 
-        unit = self._unit_with("one1", nan_in_first_row_limit)
+        unit = self._unit_with("one1", nan_in_last_row_limit)
         with pytest.raises(ConfigurationError, match="nan, not finite"):
             certified_at("one1", 2.0, unit=unit)
         assert certified_at("one1", 1.0, unit=unit) is False  # the band rejects first
 
     def test_nan_beside_a_rejecting_row_rejects(self):
-        c = GridSpec().theta_points // 2
-
-        def nan_next_to_the_center(margins):
-            margins[c + 1, -1] = np.nan
+        def nan_next_to_the_center(margins):  # the table's row 0 is the center
+            margins[1, -1] = np.nan
 
         unit = self._unit_with("one1", nan_next_to_the_center)
         # below the bound the center row rejects, whatever its neighbour holds
@@ -361,3 +366,13 @@ def test_table_and_grid_must_agree():
         assert certified_at("first3", beta, grid=coarse)
         with pytest.raises(ConfigurationError, match="2001 rows, the grid 1001"):
             certified_at("first3", beta, grid=coarse, unit=unit)
+
+
+def test_a_full_arc_table_is_refused():
+    # the certificate reads the rows theta >= 0 with the center first; a table of
+    # every row would be read at the grid's first two rows as its band
+    lemma = get_lemma("first3")
+    full = dataclasses.replace(_unit(lemma), rays=_full_arc_rays(lemma))
+    for beta in (1.0, 1.25, 2.0):
+        with pytest.raises(ConfigurationError, match="2001 rays, the grid 1001 rows"):
+            certified_at("first3", beta, unit=full)

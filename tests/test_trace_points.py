@@ -62,8 +62,8 @@ def test_certified_at_scans_through_scan_profile(monkeypatch):
 
 
 @pytest.mark.parametrize("beta,points", [
-    (1.0, 3),  # the band rejects
-    (2.0, 3 + GridSpec().theta_points),  # the band passes and every row decides
+    (1.0, 2),  # the band rejects
+    (2.0, 2 + GridSpec().theta_points // 2 + 1),  # the band passes and every row decides
 ])
 def test_a_step_evaluates_only_its_start_margins(beta, points):
     lemma = get_lemma("one1")
@@ -92,9 +92,9 @@ def test_jet_counter_counts_the_points_each_scan_evaluates():
     finally:
         tracer.uninstall()
     calls, _, _ = tracer.totals()
-    # the scan's jet of 2001 rows, then one per evaluation of the search: its
-    # two opening points and 12 batches of 15
-    assert tracer.counts["boundary.jet_arrays.grid_points"] == 2001 + 2 + 12 * 15
+    # the scan's jet of the 1001 rows theta >= 0, then one per evaluation of the
+    # search: its two opening points and 12 batches of 15
+    assert tracer.counts["boundary.jet_arrays.grid_points"] == 1001 + 2 + 12 * 15
     assert calls["boundary.jet_arrays.point"] == 0
 
 
