@@ -29,8 +29,8 @@ from .geometry import (DELTA, Disk, DomainError, HalfPlaneReLess,
                        lemniscate_boundary)
 from .series import (NonInvertibleSeriesError, NormalizationError,
                      TruncatedSeries, p_of_f, sqrt_one_plus_z_series)
-from .thresholds import (BracketError, MonotonicityError, ThresholdResult,
-                         certified_at, find_beta_threshold)
+from .thresholds import (BracketError, ThresholdResult, certified_at,
+                         find_beta_threshold)
 from .verifier import (ImageProbe, ImplicationReport, hypothesis_series,
                        image_in_region, random_normalized_f,
                        random_normalized_p, sharpness_probe_example2,

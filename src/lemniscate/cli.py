@@ -25,9 +25,8 @@ from .admissibility import GridSpec, check_admissible
 from .boundary import THETA_EPS, jet_arrays, tau_min, theta_grid
 from .catalog import LEMMAS, ParameterError, UnknownLemmaError, get_lemma
 from .series import TruncatedSeries
-from .thresholds import (DEFAULT_SEARCH, DEFAULT_TOL, BracketError,
-                         MonotonicityError, find_beta_threshold)
-from .verifier import random_normalized_p, verify_implication
+from .thresholds import DEFAULT_SEARCH, DEFAULT_TOL, BracketError, find_beta_threshold
+from .verifier import UNBOUNDED, random_normalized_p, verify_implication
 
 SCHEMA_VERSION = 2
 
@@ -158,7 +157,9 @@ def _cmd_verify(ns) -> int:
             "class_ok": rep.class_ok,
             "work_order": rep.work_order,
             "tail_ok": rep.tail_ok,
-            "hypothesis_max_margin": rep.hypothesis_probe.max_margin,
+            # JSON has no Infinity for the margin of an unbounded hypothesis
+            "hypothesis_max_margin": (None if rep.hypothesis_probe is UNBOUNDED
+                                      else rep.hypothesis_probe.max_margin),
             "conclusion_max_margin": rep.conclusion_probe.max_margin,
         })
     n_counter = sum(1 for r in reports if r["status"] == "COUNTEREXAMPLE")
@@ -354,7 +355,7 @@ def main(argv=None) -> int:
     ns._t0 = time.perf_counter()
     try:
         return _DISPATCH[ns.command](ns)
-    except (BracketError, MonotonicityError) as exc:
+    except BracketError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
     except (UnknownLemmaError, ValueError, OSError) as exc:

@@ -47,6 +47,10 @@ class ImageProbe:
         return self.max_margin < 0.0
 
 
+# the probe of a hypothesis series whose coefficients overflow: no point to show
+UNBOUNDED = ImageProbe(np.inf, (None, None))
+
+
 @dataclass(frozen=True)
 class ImplicationReport:
     lemma_id: str
@@ -112,7 +116,9 @@ def verify_implication(lemma_id: str, p: TruncatedSeries, beta=None,
     holds, conclusion fails).  p is treated as an exact polynomial with finite
     coefficients (else NormalizationError); the internal working order is
     doubled until the tail of the hypothesis series at the probe radius drops
-    below TAIL_TOL.
+    below TAIL_TOL.  A hypothesis series with a coefficient that overflows is
+    unbounded: its probe is UNBOUNDED, the doubling stops there, ``tail_ok`` is
+    False and the status 'vacuous'.
     """
     lemma = get_lemma(lemma_id)
     if not np.all(np.isfinite(p.coeffs)):
@@ -123,15 +129,19 @@ def verify_implication(lemma_id: str, p: TruncatedSeries, beta=None,
     class_ok = bool(low.size == 0 or np.max(np.abs(low)) <= 1e-13)
 
     work = max(START_ORDER, p.order)
-    while True:
-        hyp = hypothesis_series(lemma, p.pad_to(work), beta, gamma)
-        tail = hyp.tail_estimate(RADIUS)
-        if tail <= TAIL_TOL or work >= MAX_ORDER:
-            break
-        work = min(2 * work, MAX_ORDER)
-    tail_ok = tail <= TAIL_TOL
+    with np.errstate(over="ignore", invalid="ignore"):
+        while True:
+            hyp = hypothesis_series(lemma, p.pad_to(work), beta, gamma)
+            bounded = np.isfinite(hyp.coeffs).all()
+            tail = hyp.tail_estimate(RADIUS) if bounded else np.inf
+            if not bounded or tail <= TAIL_TOL or work >= MAX_ORDER:
+                break
+            work = min(2 * work, MAX_ORDER)
 
-    hyp_probe = image_in_region(hyp, lemma.region)
+    # a Taylor coefficient past the float range bounds psi(p) in no target on
+    # |z| <= RADIUS (Cauchy's estimate; Caratheodory's for a half-plane), as
+    # where psi divides by a p with a zero inside the disk
+    hyp_probe = image_in_region(hyp, lemma.region) if bounded else UNBOUNDED
     concl_probe = image_in_region(p, DELTA)
     hypothesis_holds = class_ok and hyp_probe.contained
     conclusion_holds = concl_probe.contained
@@ -150,7 +160,7 @@ def verify_implication(lemma_id: str, p: TruncatedSeries, beta=None,
         conclusion_holds=conclusion_holds,
         status=status,
         work_order=work,
-        tail_ok=tail_ok,
+        tail_ok=tail <= TAIL_TOL,
         hypothesis_probe=hyp_probe,
         conclusion_probe=concl_probe,
     )

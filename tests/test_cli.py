@@ -200,8 +200,10 @@ class TestThreshold:
         assert "transition" in err
 
     def test_unconditional_lemma_is_bracket_error(self, capsys):
-        code, _, _ = run(capsys, "threshold", "--lemma", "first0")
-        assert code == 3
+        for lemma in ("first0", "first1", "first2", "sq-1", "sq0", "sq1"):
+            code, out, err = run(capsys, "threshold", "--lemma", lemma)
+            assert (code, out) == (3, ""), lemma
+            assert "holds for every admissible coefficient" in err
 
     def test_lemma_without_a_scaling_coefficient_is_usage_error(self, capsys, monkeypatch):
         def no_scan(*args, **kwargs):
@@ -209,9 +211,12 @@ class TestThreshold:
                                  "before any scan")
 
         monkeypatch.setattr(thresholds, "scan_profile", no_scan)
-        code, out, err = run(capsys, "threshold", "--lemma", "second-weighted")
-        assert (code, out) == (1, "")
-        assert "second-weighted has no coefficient beta that scales b" in err
+        # ex1..ex3, second-sum and second-sqsum take no coefficient at all
+        for lemma in ("second-weighted", "sqrat", "ex1", "ex2", "ex3", "second-sum",
+                      "second-sqsum"):
+            code, out, err = run(capsys, "threshold", "--lemma", lemma)
+            assert (code, out) == (1, ""), lemma
+            assert f"{lemma} has no coefficient beta that scales b" in err
 
     @pytest.mark.parametrize("tol", ["0", "-1e-4", "nan", "inf"])
     def test_bad_tol_is_usage_error(self, capsys, monkeypatch, tol):
@@ -236,13 +241,14 @@ class TestThreshold:
         assert "lo < hi" in err
 
     def test_non_finite_certificate_scan_is_usage_error(self, capsys):
-        # the pre-scan at beta ~ 1.4e299 overflows every margin to inf; inf >= inf
-        # must not certify a bound
-        with np.errstate(over="ignore", invalid="ignore"):
-            code, out, err = run(capsys, "threshold", "--lemma", "first3", "--hi", "1e300")
-        assert code == 1
-        assert out == ""
-        assert "inf, not finite" in err
+        # beta = 1e300 overflows every margin to inf; inf >= inf must not certify a
+        # bound; at --lo 3 the low end is certified, a bracket error read on its own
+        for lo in ([], ["--lo", "3"]):
+            with np.errstate(over="ignore", invalid="ignore"):
+                code, out, err = run(capsys, "threshold", "--lemma", "first3", *lo,
+                                     "--hi", "1e300")
+            assert (code, out) == (1, ""), lo
+            assert err == "error: the scan's minimum margin is inf, not finite\n"
 
     def test_finite_minimum_beside_overflowed_margins_still_brackets(self, capsys):
         with np.errstate(over="ignore", invalid="ignore"):
@@ -318,6 +324,22 @@ class TestVerify:
         assert code == 1
         assert out == ""
         assert flag in err
+
+    @pytest.mark.parametrize("lemma", sorted(LEMMAS))
+    def test_p_with_a_zero_inside_the_disk_is_vacuous(self, capsys, tmp_path, lemma):
+        # 1 - 2z vanishes at z = 1/2; where psi divides by it, the hypothesis series
+        # overflows as its order doubles, and that is no error in p
+        path = tmp_path / "p.json"
+        path.write_text("[[1, 0], [-2, 0]]")
+        code, out, err = run(capsys, "verify", "--lemma", lemma, "--p-json", str(path))
+        assert (code, err) == (0, "")
+
+        def no_constant(name):
+            raise AssertionError(f"{name} in the JSON")
+
+        report, = json.loads(out, parse_constant=no_constant)["reports"]
+        assert report["status"] == "vacuous"
+        assert not report["hypothesis_holds"]
 
     @pytest.mark.parametrize("bad", ["NaN", "Infinity"])
     def test_non_finite_p_is_usage_error(self, capsys, tmp_path, bad):

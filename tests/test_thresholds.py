@@ -1,4 +1,7 @@
 import dataclasses
+import importlib.util
+import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -6,9 +9,8 @@ import pytest
 from lemniscate import thresholds
 from lemniscate.admissibility import ConfigurationError, GridSpec, _ray_minimum, scan_profile
 from lemniscate.catalog import LEMMAS, get_lemma
-from lemniscate.cli import main
-from lemniscate.thresholds import (DEFAULT_SEARCH, BracketError, MonotonicityError,
-                                   certified_at, find_beta_threshold)
+from lemniscate.thresholds import (DEFAULT_SEARCH, DEFAULT_TOL, BracketError,
+                                   ThresholdResult, certified_at, find_beta_threshold)
 
 SQRT2 = np.sqrt(2.0)
 
@@ -78,16 +80,23 @@ class TestBracketErrors:
         with pytest.raises(ConfigurationError):
             find_beta_threshold("one0", search=(2.0, 1.0))
 
-    def test_certificate_that_flips_back_is_not_monotone(self, monkeypatch, capsys):
-        # the pre-scan samples 0.05, 0.9, 1.75, ..., 6.0 read F F T F F T T T
-        monkeypatch.setattr(thresholds, "certified_at", lambda lemma_id, beta, grid=None,
-                            unit=None: 1.0 < beta < 2.0 or beta > 4.0)
-        with pytest.raises(MonotonicityError):
-            find_beta_threshold("first3")
-        assert main(["threshold", "--lemma", "first3"]) == 3
-        out, err = capsys.readouterr()
-        assert out == ""
-        assert "not monotone" in err
+    @pytest.mark.parametrize("search", [(3.0, 6.0), (0.05, 0.5)])
+    def test_both_ends_are_read_before_the_interval_is_refused(self, step_certificate,
+                                                               search):
+        with pytest.raises(BracketError, match="no certificate transition"):
+            find_beta_threshold("one0", search=search)
+        assert step_certificate == list(search)
+
+    def test_an_end_that_cannot_be_read_is_raised_before_the_bracket(self, monkeypatch):
+        # lo is certified, a bracket error on its own; that hi cannot be read comes first
+        def step(lemma_id, beta, grid=None, unit=None):
+            if beta > 100.0:
+                raise ConfigurationError("the scan's minimum margin is inf, not finite")
+            return True
+
+        monkeypatch.setattr(thresholds, "certified_at", step)
+        with pytest.raises(ConfigurationError, match="not finite"):
+            find_beta_threshold("first3", search=(3.0, 1e300))
 
 
 def test_non_finite_scan_is_no_certificate():
@@ -147,16 +156,17 @@ class TestTolerance:
         result = find_beta_threshold("one0", tol=tol)
         assert result.beta_high == np.nextafter(result.beta_low, np.inf)
         assert result.beta_low < 1.2345 <= result.beta_high
-        assert result.iterations == len(step_certificate) - 8
+        # both ends and 3 samples of the binary search are not bisection steps
+        assert result.iterations == len(step_certificate) - 5
 
 
 class TestWideInterval:
     def test_bisects_by_ratio_while_the_bracket_is_wide(self, step_certificate):
-        # the pre-scan leaves [0.05, 1.4e149]; halving its width would take ~500 steps
+        # the samples leave [0.05, 1.4e149]; halving its width would take ~500 steps
         result = find_beta_threshold("one0", search=(0.05, 1e150))
         assert result.beta_low < 1.2345 <= result.beta_high
         assert result.beta_high - result.beta_low <= result.tolerance
-        assert result.iterations == len(step_certificate) - 8
+        assert result.iterations == len(step_certificate) - 5
         assert result.iterations <= 30
 
     def test_narrow_brackets_bisect_by_width(self, step_certificate):
@@ -267,7 +277,7 @@ class TestCenterBandReject:
         monkeypatch.setattr(thresholds, "scan_profile", counting_scan)
         result = find_beta_threshold("one1")
         assert result == reference
-        assert len(certs) == 22
+        assert len(certs) == 19  # 2 ends, 3 samples and 14 bisection steps
         assert scans == [GridSpec().theta_points]  # the rays at beta = 1 serve every step
 
 
@@ -376,3 +386,73 @@ def test_a_full_arc_table_is_refused():
     for beta in (1.0, 1.25, 2.0):
         with pytest.raises(ConfigurationError, match="2001 rays, the grid 1001 rows"):
             certified_at("first3", beta, unit=full)
+
+
+def _prescan_threshold(lemma_id, search=None, tol=DEFAULT_TOL, grid=GridSpec()):
+    """The bracket as found before the binary search: every one of the 8 samples
+    read, the certificate required to flip once across them, and the bisection
+    started at the first certified sample."""
+    lemma = get_lemma(lemma_id)
+    lo, hi = search if search is not None else DEFAULT_SEARCH
+    unit = scan_profile(lemma.make_form(1.0), lemma.region, grid, lemma.n_class)
+    samples = np.linspace(lo, hi, 8)
+    flags = [certified_at(lemma_id, float(b), grid=grid, unit=unit) for b in samples]
+    assert flags == sorted(flags) and not flags[0] and flags[-1]
+    k = flags.index(True)
+    blo, bhi = float(samples[k - 1]), float(samples[k])
+    iterations = 0
+    while bhi - blo > tol:
+        mid = math.sqrt(blo) * math.sqrt(bhi) if bhi > 16.0 * blo else 0.5 * (blo + bhi)
+        if not blo < mid < bhi:
+            break
+        if certified_at(lemma_id, mid, grid=grid, unit=unit):
+            bhi = mid
+        else:
+            blo = mid
+        iterations += 1
+    return ThresholdResult(lemma_id, blo, bhi, 0.5 * (blo + bhi), tol, iterations,
+                           lemma.threshold_closed)
+
+
+def _bench_workloads():
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"
+    spec = importlib.util.spec_from_file_location("perfbench_workloads", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def _bracket_cases():
+    """The 7 bounds at two tolerances and on a wide interval, and the bench's
+    bounds pools at four seeds: 77 searches."""
+    cases = [(lemma_id, None, tol) for tol in (1e-4, 1e-8) for lemma_id in THRESHOLDED]
+    cases += [(lemma_id, (0.05, 1e150), DEFAULT_TOL) for lemma_id in THRESHOLDED]
+    bounds = _bench_workloads().Bounds()
+    for seed in (1, 2, 3, 7919):
+        cases += [(lemma_id, (lo, hi), bounds.tol)
+                  for lemma_id, lo, hi in bounds.pool(np.random.default_rng(seed))]
+    return cases
+
+
+class TestSampleSearch:
+    @pytest.mark.parametrize("lemma_id,search,tol", _bracket_cases())
+    def test_matches_the_eight_sample_prescan(self, lemma_id, search, tol):
+        assert (find_beta_threshold(lemma_id, search=search, tol=tol)
+                == _prescan_threshold(lemma_id, search=search, tol=tol))
+
+    @pytest.mark.parametrize("bound", [0.06, 0.9, 1.2345, 2.6, 3.5, 4.3, 5.2, 5.99])
+    def test_ends_first_then_a_binary_search_of_the_samples(self, monkeypatch, bound):
+        calls = []
+
+        def step(lemma_id, beta, grid=None, unit=None):
+            calls.append(beta)
+            return beta >= bound
+
+        monkeypatch.setattr(thresholds, "certified_at", step)
+        result = find_beta_threshold("one0")
+        samples = list(np.linspace(*DEFAULT_SEARCH, 8))
+        searched = calls[2:len(calls) - result.iterations]
+        assert calls[:2] == [samples[0], samples[-1]]
+        assert len(searched) in (2, 3) and set(searched) <= set(samples[1:7])
+        k = next(i for i, b in enumerate(samples) if b >= bound)
+        assert samples[k - 1] <= result.beta_low < bound <= result.beta_high <= samples[k]

@@ -5,10 +5,14 @@ from lemniscate.catalog import LEMMAS
 from lemniscate.geometry import DELTA, Disk
 from lemniscate.series import (NormalizationError, TruncatedSeries, p_of_f,
                                sqrt_one_plus_z_series)
-from lemniscate.verifier import (ANGULAR_POINTS, RADIUS, ImageProbe, hypothesis_series,
-                                 image_in_region, random_normalized_f,
+from lemniscate.verifier import (ANGULAR_POINTS, RADIUS, UNBOUNDED, ImageProbe,
+                                 hypothesis_series, image_in_region, random_normalized_f,
                                  random_normalized_p, sharpness_probe_example2,
                                  verify_implication)
+
+# the lemmas whose psi divides by a power of p
+DIVIDES_BY_P = {"first1", "first2", "first3", "first4", "sq1", "sq2", "one1", "one2",
+                "ex2", "ex3"}
 
 
 class TestImageInRegion:
@@ -177,6 +181,22 @@ class TestVerifyImplication:
                                           ("second-weighted", 0.25, 0.5)]:
                 rep = verify_implication(lemma_id, p, beta, gamma)
                 assert rep.status != "COUNTEREXAMPLE", (lemma_id, seed)
+
+    @pytest.mark.parametrize("lemma_id", sorted(LEMMAS))
+    def test_zero_inside_the_disk_is_vacuous(self, lemma_id):
+        # p = 1 - 2z vanishes at z = 1/2; a form that divides by p has a pole there,
+        # and the series of 1/p, 2^k, overflows at order 1024
+        lemma = LEMMAS[lemma_id]
+        p = TruncatedSeries(np.array([1.0, -2.0], dtype=complex))
+        rep = verify_implication(lemma_id, p, lemma.default_beta, lemma.default_gamma)
+        assert rep.status == "vacuous"
+        assert not rep.hypothesis_holds
+        if lemma_id in DIVIDES_BY_P:
+            assert rep.hypothesis_probe is UNBOUNDED
+            assert not rep.tail_ok
+            assert rep.work_order == 1024
+        else:
+            assert np.isfinite(rep.hypothesis_probe.max_margin)
 
     def test_adaptive_order_reports(self):
         p = random_normalized_p(12, seed=3)
