@@ -43,8 +43,9 @@ verdict is a view of it, and the bisection certificate
 (:func:`lemniscate.thresholds.certified_at`) a view of the table of the form at
 1.  The verdict adds a short golden-section polish over theta around the
 profile minimizer that tightens the reported minimum and the violation
-witness; it can only lower the minimum, never raise it.  Each evaluation of
-the profile serves four of its steps (see :func:`_golden_min`).
+witness; it can only lower the minimum, never raise it.  Its 48 steps take
+8 evaluations of the profile: the first serves the opening pair and six steps,
+each later one six more (see :func:`_golden_min`).
 
 One row function, :func:`_ray_minimum`, serves the scan and the polish, and
 reads the one jet, :func:`~lemniscate.boundary.jet_arrays`, which checks
@@ -70,9 +71,9 @@ from .boundary import (THETA_EPS, ConfigurationError, check_point, check_theta_m
 from .catalog import ArityError, PsiForm, evaluate, second_order_min_distance
 from .geometry import Disk, Region
 
-_GOLDEN = (np.sqrt(5.0) - 1.0) / 2.0
+_GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0  # a Python float: scalar steps cost less than numpy's
 _GOLDEN_ITERS = 48  # steps of the golden-section search in the polish
-_BATCH_DEPTH = 4  # golden-section steps per evaluation of the profile
+_BATCH_DEPTH = 6  # golden-section steps per evaluation of the profile
 
 
 @dataclass(frozen=True)
@@ -211,44 +212,52 @@ def _ray_minimum(form: PsiForm, region: Region, theta: np.ndarray, n_class: int)
     return m[at], counted[at], Rays(r, sigma, m[:, 1:], margins[:, 1:])
 
 
-def _golden_step(a, b, x1, x2, go_left):
-    """One golden-section step on [a, b]: the new bracket and the point it adds."""
-    if go_left:
-        b, x2 = x2, x1
-        x1 = b - _GOLDEN * (b - a)
-        return (a, b, x1, x2), x1
-    a, x1 = x1, x2
-    x2 = a + _GOLDEN * (b - a)
-    return (a, b, x1, x2), x2
+def _children(a, b, x1, x2):
+    """Both golden-section steps on [a, b], as (bracket, the point it adds) pairs:
+    the left step (taken where f1 <= f2), then the right."""
+    x = x2 - _GOLDEN * (x2 - a)
+    y = x1 + _GOLDEN * (b - x1)
+    return [((a, x2, x, x1), x), ((x1, b, x2, y), y)]
 
 
 def _golden_min(f, lo: float, hi: float):
     """Golden-section minimum on [lo, hi] of f, a map from an array of abscissae to values.
 
-    Each call of f evaluates the 2**_BATCH_DEPTH - 1 points that the next
-    _BATCH_DEPTH steps could ask for (the first step's branch is known), and
-    the walk follows the branches the comparisons take.  Every point is the
-    one-point search's own expression and every comparison its ``f1 <= f2``
-    on the same values, so for an elementwise f the result is bit-identical.
+    Each call of f evaluates every point that the next _BATCH_DEPTH steps could
+    ask for, and the walk follows the branches the comparisons take.  The first
+    call also evaluates the opening pair, so both first steps are open: virtual
+    root -1 has children 0 and 1, and node k has children 2k+2 and 2k+3
+    (2**(_BATCH_DEPTH+1) points in all).  In each later call the first step is
+    known: it is node 0, and node k has children 2k+1 and 2k+2
+    (2**_BATCH_DEPTH - 1 points).  Every point is the one-point search's own
+    expression and every comparison its ``f1 <= f2`` on the same values, so
+    for an elementwise f the result is bit-identical.  The abscissa is returned
+    as a numpy float, the value as a Python float.
     """
     a, b = float(lo), float(hi)
     x1 = b - _GOLDEN * (b - a)
     x2 = a + _GOLDEN * (b - a)
-    f1, f2 = f(np.array([x1, x2])).tolist()
-    bracket = (a, b, x1, x2)
+    bracket, opening = (a, b, x1, x2), [x1, x2]
     for done in range(0, _GOLDEN_ITERS, _BATCH_DEPTH):
         depth = min(_BATCH_DEPTH, _GOLDEN_ITERS - done)
-        # heap order: the children of node k are 2k+1 (left) and 2k+2 (right)
-        nodes = [_golden_step(*bracket, f1 <= f2)]
-        for k in range(2 ** (depth - 1) - 1):
-            nodes += [_golden_step(*nodes[k][0], True), _golden_step(*nodes[k][0], False)]
-        values = f(np.array([x for _, x in nodes])).tolist()
-        for step in range(depth):
+        nodes = _children(*bracket)
+        if done:
+            nodes = [nodes[0 if f1 <= f2 else 1]]
+        roots = len(nodes)
+        for k in range(roots * (2 ** (depth - 1) - 1)):
+            nodes += _children(*nodes[k][0])
+        values = f(np.array(opening + [x for _, x in nodes])).tolist()
+        if opening:
+            f1, f2, *values = values
+            opening = []
+        k = -1
+        for _ in range(depth):
             go_left = f1 <= f2
-            k = 2 * k + (1 if go_left else 2) if step else 0
+            # a later call's node 0 is the only child of -1, whichever the branch
+            k = max(2 * k + roots + (0 if go_left else 1), 0)
             bracket = nodes[k][0]
             f1, f2 = (values[k], f1) if go_left else (f2, values[k])
-    return (bracket[2], f1) if f1 <= f2 else (bracket[3], f2)
+    return (np.float64(bracket[2]), f1) if f1 <= f2 else (np.float64(bracket[3]), f2)
 
 
 def min_over_t(form: PsiForm, triple, region: Region) -> TMinimum:

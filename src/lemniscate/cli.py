@@ -15,6 +15,7 @@ import argparse
 import csv
 import io
 import json
+import math
 import sys
 import time
 from dataclasses import asdict, fields
@@ -26,7 +27,7 @@ from .boundary import THETA_EPS, jet_arrays, tau_min, theta_grid
 from .catalog import LEMMAS, ParameterError, UnknownLemmaError, get_lemma
 from .series import TruncatedSeries
 from .thresholds import DEFAULT_SEARCH, DEFAULT_TOL, BracketError, find_beta_threshold
-from .verifier import UNBOUNDED, random_normalized_p, verify_implication
+from .verifier import random_normalized_p, verify_implication
 
 SCHEMA_VERSION = 2
 
@@ -132,6 +133,10 @@ def _cmd_threshold(ns) -> int:
     return 0
 
 
+def _finite_or_null(x: float) -> float | None:
+    return x if math.isfinite(x) else None
+
+
 def _cmd_verify(ns) -> int:
     if ns.random is not None and ns.random < 1:
         raise ParameterError("--random must be at least 1")
@@ -157,10 +162,9 @@ def _cmd_verify(ns) -> int:
             "class_ok": rep.class_ok,
             "work_order": rep.work_order,
             "tail_ok": rep.tail_ok,
-            # JSON has no Infinity for the margin of an unbounded hypothesis
-            "hypothesis_max_margin": (None if rep.hypothesis_probe is UNBOUNDED
-                                      else rep.hypothesis_probe.max_margin),
-            "conclusion_max_margin": rep.conclusion_probe.max_margin,
+            # JSON has no Infinity or NaN: an unbounded or overflowed margin is null
+            "hypothesis_max_margin": _finite_or_null(rep.hypothesis_probe.max_margin),
+            "conclusion_max_margin": _finite_or_null(rep.conclusion_probe.max_margin),
         })
     n_counter = sum(1 for r in reports if r["status"] == "COUNTEREXAMPLE")
     payload = {

@@ -71,21 +71,31 @@ def _through_units(a, c):
     return mp.real, mm.real, np.abs(mp) ** 2, np.abs(mm) ** 2, e
 
 
+_THIRDS = 2.0 * np.pi / 3.0 * np.arange(3)  # the trigonometric form's root offsets
+
+
 def _real_cubic_roots(b, c, d):
     """Real roots of x^3 + b x^2 + c x + d, stacked on a new last axis of length 3.
 
     Trigonometric form when there are three, Cardano's (written to avoid
-    cancellation) when there is one, which then fills all three places.
+    cancellation) when there is one, which then fills all three places; a NaN
+    discriminant takes Cardano's.  Each form is computed only if some row takes
+    it.
     """
     p = c - b * b / 3.0
     q = (2.0 * b**3 - 9.0 * b * c) / 27.0 + d
     disc = (q / 2.0) ** 2 + (p / 3.0) ** 3
-    u = np.cbrt(-q / 2.0 - np.copysign(np.sqrt(np.maximum(disc, 0.0)), q))
-    one = np.where(u == 0.0, 0.0, u - p / (3.0 * u))
-    rad = np.sqrt(np.maximum(-p / 3.0, 0.0))
-    phi = np.arccos(np.clip(-q / (2.0 * rad**3), -1.0, 1.0)) / 3.0
-    three = 2.0 * rad[..., None] * np.cos(phi[..., None] - 2.0 * np.pi / 3.0 * np.arange(3))
-    return np.where((disc < 0.0)[..., None], three, one[..., None]) - (b / 3.0)[..., None]
+    three_rows = disc < 0.0
+    some_three = three_rows.any()
+    if some_three:
+        rad = np.sqrt(np.maximum(-p / 3.0, 0.0))
+        phi = np.arccos(np.minimum(np.maximum(-q / (2.0 * rad**3), -1.0), 1.0)) / 3.0
+        roots = 2.0 * rad[..., None] * np.cos(phi[..., None] - _THIRDS)
+    if not three_rows.all():
+        u = np.cbrt(-q / 2.0 - np.copysign(np.sqrt(np.maximum(disc, 0.0)), q))
+        one = np.where(u == 0.0, 0.0, u - p / (3.0 * u))[..., None]
+        roots = np.where(three_rows[..., None], roots, one) if some_three else one.repeat(3, -1)
+    return roots - (b / 3.0)[..., None]
 
 
 class _Region:

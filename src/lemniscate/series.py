@@ -121,16 +121,15 @@ class TruncatedSeries:
         if not isinstance(other, TruncatedSeries):
             return self.scale(1.0 / complex(other))
         n = min(self.order, other.order)
-        a = self._c
-        b = other._c
-        if b[0] == 0:
+        a, b = self._c, other._c
+        b0 = b[0]
+        if b0 == 0:
             raise NonInvertibleSeriesError("divisor has zero constant term")
         q = np.zeros(n + 1, dtype=np.complex128)
-        for k in range(n + 1):
-            acc = a[k] if k <= self.order else 0.0
-            if k:
-                acc = acc - np.dot(q[:k], b[k:0:-1])
-            q[k] = acc / b[0]
+        q[0] = a[0] / b0
+        tail = b[n:0:-1]  # b_n, ..., b_1; its last k entries meet q_0, ..., q_{k-1}
+        for k in range(1, n + 1):
+            q[k] = (a[k] - q[:k].dot(tail[n - k:])) / b0
         return TruncatedSeries(q)
 
     def __rtruediv__(self, other):

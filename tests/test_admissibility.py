@@ -507,8 +507,10 @@ def golden_min_one_point(f, lo, hi, iters):
 
 
 def one_point_search(f, lo, hi, iters=48):
-    """The reference search on an array function f, one scalar point per call."""
-    return golden_min_one_point(lambda x: float(f(np.array([x]))[0]), lo, hi, iters)
+    """The reference search on an array function f, one scalar point per call,
+    returning its abscissa as a numpy float as the library's search does."""
+    x, fx = golden_min_one_point(lambda x: float(f(np.array([x]))[0]), lo, hi, iters)
+    return np.float64(x), fx
 
 
 SEARCH_CASES = {
@@ -537,6 +539,14 @@ class TestBatchedPolish:
         x_ref, f_ref = one_point_search(f, 0.1, 1.3, iters)
         assert (float(x).hex(), fx.hex()) == (float(x_ref).hex(), f_ref.hex())
 
+    @pytest.mark.parametrize("depth", range(1, 8))
+    @pytest.mark.parametrize("iters", [1, 7, 48, 49])
+    @pytest.mark.parametrize("name", sorted(SEARCH_CASES))
+    def test_same_steps_at_every_batch_depth(self, monkeypatch, name, iters, depth):
+        # depths that divide the step count and depths that leave a short last batch
+        monkeypatch.setattr(admissibility, "_BATCH_DEPTH", depth)
+        self.test_same_steps_as_one_point_search(monkeypatch, name, iters)
+
     def test_same_verdicts_as_one_point_search(self, monkeypatch):
         cases = [(lemma_id, lemma.default_beta, lemma.default_gamma, GridSpec())
                  for lemma_id, lemma in LEMMAS.items()] + FAILING
@@ -558,5 +568,6 @@ class TestBatchedPolish:
         monkeypatch.setattr(admissibility, "jet_arrays", counting)
         check_lemma("first3", 1.25)
         # one jet for the scan of theta >= 0, then one per evaluation of the search:
-        # its two opening points and 12 batches of 4 steps; the minimizer's m was seen
-        assert shapes == [(1001, 1), (2, 1)] + 12 * [(15, 1)]
+        # its two opening points with both subtrees of the first 6 steps, then 7
+        # batches of 6 steps; the minimizer's m was seen
+        assert shapes == [(1001, 1), (128, 1)] + 7 * [(63, 1)]

@@ -341,6 +341,25 @@ class TestVerify:
         assert report["status"] == "vacuous"
         assert not report["hypothesis_holds"]
 
+    @pytest.mark.parametrize("lemma, p, nulls", [
+        # the series stays finite to the largest order, but its margin overflows
+        ("first1", "[[1, 0], [-1.4, 0]]", ["hypothesis_max_margin"]),
+        # both images overflow at the first order
+        ("first0", "[[1, 0], [1e200, 0]]", ["conclusion_max_margin", "hypothesis_max_margin"]),
+    ])
+    def test_overflowed_margins_print_as_null(self, capsys, tmp_path, lemma, p, nulls):
+        path = tmp_path / "p.json"
+        path.write_text(p)
+        code, out, err = run(capsys, "verify", "--lemma", lemma, "--p-json", str(path))
+        assert (code, err) == (0, "")
+
+        def no_constant(name):
+            raise AssertionError(f"{name} in the JSON")
+
+        report, = json.loads(out, parse_constant=no_constant)["reports"]
+        assert report["status"] == "vacuous"
+        assert sorted(k for k, v in report.items() if v is None) == nulls
+
     @pytest.mark.parametrize("bad", ["NaN", "Infinity"])
     def test_non_finite_p_is_usage_error(self, capsys, tmp_path, bad):
         path = tmp_path / "p.json"

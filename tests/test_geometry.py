@@ -2,8 +2,9 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
+from lemniscate import geometry
 from lemniscate.geometry import (DELTA, Disk, DomainError, HalfPlaneReLess,
-                                 MoebiusDisk, PoleError, lemniscate_boundary)
+                                 MoebiusDisk, PoleError, _real_cubic_roots, lemniscate_boundary)
 
 SQRT2 = np.sqrt(2.0)
 
@@ -62,6 +63,49 @@ class TestMargin:
             mg = region.margin(w_ok)
             inside = region.contains(w_ok)
             assert np.array_equal(mg < 0, inside)
+
+
+def _bits(x):
+    return np.asarray(x, dtype=np.float64).view(np.int64)
+
+
+class TestRealCubicRoots:
+    # rows of (b, c, d): three real roots, one, one at u = 0, and a NaN row
+    THREE = [(0.0, -1.0, 0.0), (-1.5, 0.3, 0.02), (2.0, -5.0, -6.0)]
+    ONE = [(0.0, 1.0, 1.0), (-1.5, 1.75, -0.6), (0.0, 0.0, 0.0)]
+    NAN = [(np.nan, 1.0, 0.0)]
+
+    @staticmethod
+    def _solve(rows):
+        with np.errstate(all="ignore"):  # as in the scan: u = 0 and NaN rows warn
+            return _real_cubic_roots(*np.array(rows, dtype=np.float64).T)
+
+    def test_mixed_rows_equal_each_row_solved_alone(self):
+        rows = [self.THREE[0], self.ONE[0], self.NAN[0], self.THREE[1], self.ONE[2],
+                self.THREE[2], self.ONE[1]]
+        mixed = self._solve(rows)
+        assert mixed.shape == (len(rows), 3)
+        for row, got in zip(rows, mixed):
+            assert np.array_equal(_bits(got), _bits(self._solve([row])[0])), row
+
+    def test_roots_solve_the_cubic(self):
+        for (b, c, d), x in zip(self.THREE + self.ONE, self._solve(self.THREE + self.ONE)):
+            assert np.allclose(((x + b) * x + c) * x + d, 0.0, atol=1e-12)
+        assert np.isnan(self._solve(self.NAN)).all()
+
+    def test_uniform_arrays_compute_one_form(self, monkeypatch):
+        def never(*args):
+            raise AssertionError("the other form was computed")
+
+        with monkeypatch.context() as patch:
+            patch.setattr(geometry.np, "cbrt", never)  # Cardano's form
+            three = self._solve(self.THREE)
+        with monkeypatch.context() as patch:
+            patch.setattr(geometry.np, "arccos", never)  # the trigonometric form
+            one = self._solve(self.ONE + self.NAN)
+        assert three.shape == (3, 3) and one.shape == (4, 3)
+        # one real root fills all three places
+        assert np.array_equal(_bits(one), _bits(one[:, :1].repeat(3, 1)))
 
 
 class TestLemniscateBoundary:

@@ -93,8 +93,8 @@ def test_jet_counter_counts_the_points_each_scan_evaluates():
         tracer.uninstall()
     calls, _, _ = tracer.totals()
     # the scan's jet of the 1001 rows theta >= 0, then one per evaluation of the
-    # search: its two opening points and 12 batches of 15
-    assert tracer.counts["boundary.jet_arrays.grid_points"] == 1001 + 2 + 12 * 15
+    # search: the opening pair with the first 6 steps' 126 points, then 7 batches of 63
+    assert tracer.counts["boundary.jet_arrays.grid_points"] == 1001 + 128 + 7 * 63
     assert calls["boundary.jet_arrays.point"] == 0
 
 
@@ -123,6 +123,6 @@ def test_the_tracer_reads_every_jet_call():
     assert calls["thresholds.find_beta_threshold"] == 1
     # the two witnesses' triples and the t-projection at the second one
     assert calls["boundary.jet_arrays.point"] == 3
-    # the three scans, and the 13 evaluations of each verdict's polish
-    assert calls["boundary.jet_arrays.grid"] == 3 + 2 * 13
-    assert calls["catalog.second_order_min_distance"] == 1 + 13 + 1
+    # the three scans, and the 8 evaluations of each verdict's polish
+    assert calls["boundary.jet_arrays.grid"] == 3 + 2 * 8
+    assert calls["catalog.second_order_min_distance"] == 1 + 8 + 1
