@@ -1,3 +1,4 @@
+import bisect
 import dataclasses
 import importlib.util
 import math
@@ -156,7 +157,10 @@ class TestTolerance:
         result = find_beta_threshold("one0", tol=tol)
         assert result.beta_high == np.nextafter(result.beta_low, np.inf)
         assert result.beta_low < 1.2345 <= result.beta_high
-        # both ends and 3 samples of the binary search are not bisection steps
+        # iterations counts the bisection steps, read or not: the plain search
+        # reads both ends, 3 samples of the binary search and every step
+        step_certificate.clear()
+        assert _plain_threshold("one0", tol=tol) == result
         assert result.iterations == len(step_certificate) - 5
 
 
@@ -277,7 +281,8 @@ class TestCenterBandReject:
         monkeypatch.setattr(thresholds, "scan_profile", counting_scan)
         result = find_beta_threshold("one1")
         assert result == reference
-        assert len(certs) == 19  # 2 ends, 3 samples and 14 bisection steps
+        # 2 ends and 2 seeds; the seeds decide the 3 samples and 14 bisection steps
+        assert len(certs) == 4
         assert scans == [GridSpec().theta_points]  # the rays at beta = 1 serve every step
 
 
@@ -442,6 +447,8 @@ class TestSampleSearch:
 
     @pytest.mark.parametrize("bound", [0.06, 0.9, 1.2345, 2.6, 3.5, 4.3, 5.2, 5.99])
     def test_ends_first_then_a_binary_search_of_the_samples(self, monkeypatch, bound):
+        # a step at `bound` stands in for the certificate, so the seeds, placed at
+        # one0's own predicted transition, are off the step's transition
         calls = []
 
         def step(lemma_id, beta, grid=None, unit=None):
@@ -451,8 +458,130 @@ class TestSampleSearch:
         monkeypatch.setattr(thresholds, "certified_at", step)
         result = find_beta_threshold("one0")
         samples = list(np.linspace(*DEFAULT_SEARCH, 8))
-        searched = calls[2:len(calls) - result.iterations]
+        lemma = get_lemma("one0")
+        guess = thresholds._predicted_transition(lemma, _unit(lemma), GridSpec(),
+                                                 *DEFAULT_SEARCH, DEFAULT_TOL)
+        width = max(DEFAULT_TOL / 64, 1e-8 * guess)
+        seeds = [guess - width, guess + width][:1 if guess - width >= bound else 2]
         assert calls[:2] == [samples[0], samples[-1]]
-        assert len(searched) in (2, 3) and set(searched) <= set(samples[1:7])
+        assert calls[2:2 + len(seeds)] == seeds
+        searched = [b for b in calls[2 + len(seeds):] if b in samples]
+        assert len(searched) <= 3 and set(searched) <= set(samples[1:7])
+        assert calls[2 + len(seeds):2 + len(seeds) + len(searched)] == searched
+        # each later read lies between the largest beta read uncertified and the least
+        # read certified
+        below, above = samples[0], samples[-1]
+        for beta in calls[2:]:
+            assert below < beta < above
+            below, above = (below, beta) if beta >= bound else (beta, above)
         k = next(i for i, b in enumerate(samples) if b >= bound)
         assert samples[k - 1] <= result.beta_low < bound <= result.beta_high <= samples[k]
+        assert _plain_threshold("one0") == result
+
+
+def _plain_threshold(lemma_id, search=None, tol=DEFAULT_TOL, grid=GridSpec()):
+    """The bracket as found before the seeds: both ends, a binary search of the 8
+    samples and the bisection, each step read with ``thresholds.certified_at``."""
+    lemma = get_lemma(lemma_id)
+    lo, hi = search if search is not None else DEFAULT_SEARCH
+    unit = scan_profile(lemma.make_form(1.0), lemma.region, grid, lemma.n_class)
+    samples = np.linspace(lo, hi, 8)
+
+    def certified(beta):
+        return thresholds.certified_at(lemma_id, float(beta), grid=grid, unit=unit)
+
+    assert (certified(samples[0]), certified(samples[-1])) == (False, True)
+    k = bisect.bisect_left(samples, True, 1, 7, key=certified)
+    blo, bhi = float(samples[k - 1]), float(samples[k])
+    iterations = 0
+    while bhi - blo > tol:
+        mid = math.sqrt(blo) * math.sqrt(bhi) if bhi > 16.0 * blo else 0.5 * (blo + bhi)
+        if not blo < mid < bhi:
+            break
+        if certified(mid):
+            bhi = mid
+        else:
+            blo = mid
+        iterations += 1
+    return ThresholdResult(lemma_id, blo, bhi, 0.5 * (blo + bhi), tol, iterations,
+                           lemma.threshold_closed)
+
+
+def _counting_certificate(monkeypatch):
+    """The betas every later certified_at call reads, in order."""
+    reads, real = [], thresholds.certified_at
+
+    def counting(lemma_id, beta, grid=GridSpec(), unit=None):
+        reads.append(beta)
+        return real(lemma_id, beta, grid=grid, unit=unit)
+
+    monkeypatch.setattr(thresholds, "certified_at", counting)
+    return reads
+
+
+class TestSeededSearch:
+    @pytest.mark.parametrize("lemma_id,search,tol", _bracket_cases() + [
+        (lemma_id, None, tol) for tol in (1e-10, 1e-12) for lemma_id in THRESHOLDED])
+    def test_matches_the_plain_bisection(self, lemma_id, search, tol):
+        # the 7 bounds at four tolerances and on (0.05, 1e150), and the bench's pools;
+        # at 1e-10, seeds tol / 64 from the prediction give first4 another bracket
+        assert (find_beta_threshold(lemma_id, search=search, tol=tol)
+                == _plain_threshold(lemma_id, search=search, tol=tol))
+
+    @pytest.mark.parametrize("lemma_id", THRESHOLDED)
+    @pytest.mark.parametrize("offset", [-1.0, -1e-3, 1e-3, 1.0, 50.0])
+    @pytest.mark.parametrize("tol", [DEFAULT_TOL, 1e-8])
+    def test_a_far_off_prediction_keeps_the_bracket(self, monkeypatch, lemma_id, offset,
+                                                     tol):
+        reference = _plain_threshold(lemma_id, tol=tol)
+        guess = get_lemma(lemma_id).threshold_ref + offset
+        monkeypatch.setattr(thresholds, "_predicted_transition", lambda *args: guess)
+        assert find_beta_threshold(lemma_id, tol=tol) == reference
+
+    @pytest.mark.parametrize("lemma_id", THRESHOLDED)
+    def test_a_default_bound_takes_at_most_five_reads(self, monkeypatch, lemma_id):
+        reads = _counting_certificate(monkeypatch)
+        find_beta_threshold(lemma_id)
+        assert len(reads) <= 5
+        assert reads[:2] == list(DEFAULT_SEARCH)
+
+    def test_no_prediction_reads_what_the_plain_bisection_reads(self, monkeypatch):
+        # one0's Brent root on (0.05, 1e150) does not converge in 50 steps
+        lemma = get_lemma("one0")
+        assert thresholds._predicted_transition(lemma, _unit(lemma), GridSpec(),
+                                                0.05, 1e150, DEFAULT_TOL) is None
+        reads = _counting_certificate(monkeypatch)
+        result = find_beta_threshold("one0", search=(0.05, 1e150))
+        seeded = list(reads)
+        reads.clear()
+        assert _plain_threshold("one0", search=(0.05, 1e150)) == result
+        assert seeded == reads
+
+
+class TestBrentRoot:
+    def test_finds_the_root_of_a_sign_change(self):
+        root = thresholds._brent_root(lambda x: x ** 3 - 2.0, 0.0, 2.0, 1e-14, 0.0)
+        assert abs(root - 2.0 ** (1.0 / 3.0)) <= 1e-14
+
+    def test_an_end_root_is_returned(self):
+        assert thresholds._brent_root(lambda x: x - 2.0, 0.0, 2.0, 1e-12, 0.0) == 2.0
+
+    @pytest.mark.parametrize("f", [lambda x: x + 1.0,  # no sign change
+                                   lambda x: 1.0 - x,  # falls instead of rising
+                                   lambda x: x - 1.0 if x < 1.5 else math.nan,
+                                   lambda x: math.inf if x == 0.0 else x - 1.0])
+    def test_no_root_where_the_signs_or_the_values_do_not_allow_one(self, f):
+        assert thresholds._brent_root(f, 0.0, 2.0, 1e-12, 0.0) is None
+
+    def test_no_root_where_it_does_not_converge(self):
+        # a linear bisection of 300 orders of magnitude takes ~1000 steps
+        assert thresholds._brent_root(lambda x: 1.0 if x > 1.0 else -1.0,
+                                      0.0, 1e300, 1e-12, 0.0) is None
+
+
+@pytest.mark.parametrize("lemma_id", ["moebius", "one0", "one1", "one2"])
+def test_admissibility_type_brackets_sit_just_below_their_closed_forms(lemma_id):
+    # the certificate accepts margins down to -eps_adm = -1e-9, so it holds a
+    # little below the closed form: by 1.0e-9 (one0) to 8.0e-9 (moebius)
+    result = find_beta_threshold(lemma_id, tol=1e-12)
+    assert 0.0 < result.closed_form - result.beta_high < 1e-8
