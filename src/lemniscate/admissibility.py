@@ -182,17 +182,17 @@ def _ray_minimum(form: PsiForm, region: Region, theta: np.ndarray, n_class: int)
     a tie goes to the start.
     """
     n = float(n_class)
-    if form.order == 2:
-        # base = B0 + m B1 makes the projected distance max(0, h(m)) with
-        # h = coef m(3m - 4)/(8 sqrt(2 cos 2 theta)) + m Re(B1 e^{-3i theta}) + const,
-        # whose vertex is 2/3 (1 - Re(B1/sigma)/coef).  Every catalogued base has
-        # B1 = kappa sigma with kappa real and > 0 (1 for b + c and a^2 + b + c,
-        # gamma for gamma b + beta c) and coef > 0, so the vertex lies below
-        # 2/3 < 1 <= n: h increases on [n, inf) and its least value is at m = n.
-        dist = second_order_min_distance(form, region.center, theta, n)[0]
-        return np.full(len(theta), n), dist[:, 0] - region.radius, None
-    r, sigma = jet_arrays(theta, 1.0)[:2]
     with np.errstate(all="ignore"):  # the rules below decide what is not finite
+        if form.order == 2:
+            # base = B0 + m B1 makes the projected distance max(0, h(m)) with
+            # h = coef m(3m - 4)/(8 sqrt(2 cos 2 theta)) + m Re(B1 e^{-3i theta}) + const,
+            # whose vertex is 2/3 (1 - Re(B1/sigma)/coef).  Every catalogued base has
+            # B1 = kappa sigma with kappa real and > 0 (1 for b + c and a^2 + b + c,
+            # gamma for gamma b + beta c) and coef > 0, so the vertex lies below
+            # 2/3 < 1 <= n: h increases on [n, inf) and its least value is at m = n.
+            dist = second_order_min_distance(form, region.center, theta, n)[0]
+            return np.full(len(theta), n), dist[:, 0] - region.radius, None
+        r, sigma = jet_arrays(theta, 1.0)[:2]
         a, c = form.lead(r[:, 0]), form.slope(r[:, 0], sigma[:, 0])
         extra, tail = region.ray_extrema(a, c)
         # column-major, so that the columns Rays views are contiguous

@@ -92,8 +92,17 @@ class _FirstOrder:
         return self.lead(a) + self.slope(a, b)
 
 
+class _PowerSlope(_FirstOrder):
+    """slope(a, b) = beta * b / a^n, with n = -1 read as beta * a * b."""
+
+    def slope(self, a, b):
+        if self.n == -1:
+            return self.beta * a * b
+        return self.beta * b / a**self.n if self.n else self.beta * b
+
+
 @dataclass(frozen=True)
-class FirstOrderPlus(_FirstOrder):
+class FirstOrderPlus(_PowerSlope):
     """psi(a, b) = a + beta * b / a^n for n in 0..4."""
 
     n: int
@@ -107,12 +116,9 @@ class FirstOrderPlus(_FirstOrder):
     def lead(self, a):
         return a
 
-    def slope(self, a, b):
-        return self.beta * b / a**self.n if self.n else self.beta * b
-
 
 @dataclass(frozen=True)
-class SquarePlus(_FirstOrder):
+class SquarePlus(_PowerSlope):
     """psi(a, b) = a^2 + beta * b / a^n for n in -1..2 (n = -1 is a^2 + beta*a*b).
 
     beta may be complex (with Re beta > 0) only in the n = -1 case.
@@ -135,13 +141,6 @@ class SquarePlus(_FirstOrder):
     def lead(self, a):
         return a * a
 
-    def slope(self, a, b):
-        if self.n == -1:
-            return self.beta * a * b
-        if self.n == 0:
-            return self.beta * b
-        return self.beta * b / a**self.n
-
 
 @dataclass(frozen=True)
 class SquareRational(_FirstOrder):
@@ -162,7 +161,7 @@ class SquareRational(_FirstOrder):
 
 
 @dataclass(frozen=True)
-class OnePlus(_FirstOrder):
+class OnePlus(_PowerSlope):
     """psi(a, b) = 1 + beta * b / a^n for n in 0..2."""
 
     n: int
@@ -175,9 +174,6 @@ class OnePlus(_FirstOrder):
 
     def lead(self, a):
         return 1.0
-
-    def slope(self, a, b):
-        return self.beta * b / a**self.n if self.n else self.beta * b
 
 
 @dataclass(frozen=True)

@@ -14,14 +14,10 @@ equals the plain admissibility transition.
 Both conditions compare the same global profile minimum, so the certificate
 holds exactly when every theta row's least margin (over all m >= n) is at
 least ``max(-eps_adm, P(0) - tol)``, with P(0) that of the center row.  A row
-below that floor anywhere proves the certificate false.  Every uncertified
-step of the catalogued bisections has such a row on the center line (the
-admissibility failures) or next to it (the off-center minima), so
-``certified_at`` first reads the center row and its neighbour, which reject
-from those rows, then, only for steps the band cannot reject, every row,
-held to the same floor.  The profile of a real coefficient is even in theta,
-so the table holds only the rows theta >= 0, center first: the neighbour at
-theta > 0 stands for both, and "every row" is the 1001 of the default grid.
+below that floor anywhere proves the certificate false.  The profile of a real
+coefficient is even in theta, so the table holds only the rows theta >= 0,
+center first, and ``certified_at`` reads all of them, the 1001 of the default
+grid, at once.
 
 Each thresholded lemma takes its one coefficient beta as beta b, so its
 boundary rays, their candidate m and the margins there are those of beta = 1
@@ -115,16 +111,15 @@ def certified_at(lemma_id: str, beta: float, grid: GridSpec = GridSpec(),
     """True iff the scan is admissible and the objective minimum sits at theta = 0.
 
     That is: every row of the profile is at least ``max(-eps_adm, P(0) - tol)``,
-    P(0) being the center row.  Both are read from ``unit``, the scan of the
-    lemma at beta = 1 on ``grid`` (scanned here if not given), whose table
-    holds the rows theta >= 0, center first: rows 0 and 1 first, and every
-    row only if they pass.  A read with a non-finite minimum is a
-    ConfigurationError unless a finite row rejects
-    (:func:`~lemniscate.admissibility.deciding_row`).  A lemma whose
-    coefficient does not enter as beta b, and a ``unit`` whose row count is
-    not ``grid.theta_points``, are ConfigurationErrors raised before any scan;
-    so is a table that does not hold the ``grid.theta_points // 2 + 1`` rows
-    theta >= 0 (a table of every row, say), which would be read at the wrong band.
+    P(0) being the center row.  Both come from one read of every row of
+    ``unit``, the scan of the lemma at beta = 1 on ``grid`` (scanned here if
+    not given), whose table holds the rows theta >= 0, center first.  A
+    non-finite minimum is a ConfigurationError unless a finite row rejects
+    (:func:`~lemniscate.admissibility.deciding_row`); numpy warns of none.  A
+    lemma whose coefficient does not enter as beta b, and a ``unit`` whose row
+    count is not ``grid.theta_points``, are ConfigurationErrors raised before
+    any scan; so is a table that does not hold the ``grid.theta_points // 2 + 1``
+    rows theta >= 0 (a table of every row, say), whose first row is not the center.
     """
     lemma = get_lemma(lemma_id)
     _require_scales_b(lemma)
@@ -139,13 +134,10 @@ def certified_at(lemma_id: str, beta: float, grid: GridSpec = GridSpec(),
     if len(unit.rays.m) != grid.theta_points // 2 + 1:
         raise ConfigurationError(f"the table has {len(unit.rays.m)} rays, the grid "
                                  f"{grid.theta_points // 2 + 1} rows with theta >= 0")
-    band = Rays(*(column[:2] for column in unit.rays))
-    least = scaled_minimum(band, form, lemma.region, beta, lemma.n_class)
+    with np.errstate(all="ignore"):  # deciding_row decides what is not finite
+        least = scaled_minimum(unit.rays, form, lemma.region, beta, lemma.n_class)
     # a NaN center leaves the admissibility floor, which max() returns first
     floor = max(-grid.eps_adm, least[0] - _CENTER_TOL)
-    if not least[deciding_row(least, floor)] >= floor:
-        return False
-    least = scaled_minimum(unit.rays, form, lemma.region, beta, lemma.n_class)
     return bool(least[deciding_row(least, floor)] >= floor)
 
 

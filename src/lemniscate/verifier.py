@@ -17,6 +17,7 @@ randomized suite.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Optional
 
@@ -70,7 +71,8 @@ def image_in_region(p: TruncatedSeries, region: Region) -> ImageProbe:
     """Probe the image of the disk |z| <= RADIUS under p against the region.
 
     p is an exact polynomial with finite coefficients, and p(0) must sit at
-    the region's anchor value.
+    the region's anchor value.  Where its values overflow on the circle, the
+    worst margin is inf.
 
     Only the circle |z| = RADIUS is sampled; it decides the disk.  Each target
     is simply connected, so a circle image inside it winds around no outside
@@ -89,9 +91,11 @@ def image_in_region(p: TruncatedSeries, region: Region) -> ImageProbe:
 
     w = p.values_on_circle(RADIUS, ANGULAR_POINTS)
     margins = np.asarray(region.margin(w))
-    idx = int(np.argmax(margins))
+    idx = int(np.argmax(margins))  # the first NaN, if there is one
     z = RADIUS * np.exp(2j * np.pi * idx / ANGULAR_POINTS)
-    return ImageProbe(float(margins[idx]), (complex(z), complex(w[idx])))
+    worst = float(margins[idx])
+    # a NaN margin (p's values overflowed on the circle) bounds nothing, as UNBOUNDED
+    return ImageProbe(math.inf if math.isnan(worst) else worst, (complex(z), complex(w[idx])))
 
 
 def hypothesis_series(lemma: LemmaSpec | str, p: TruncatedSeries,
@@ -137,12 +141,11 @@ def verify_implication(lemma_id: str, p: TruncatedSeries, beta=None,
             if not bounded or tail <= TAIL_TOL or work >= MAX_ORDER:
                 break
             work = min(2 * work, MAX_ORDER)
-
-    # a Taylor coefficient past the float range bounds psi(p) in no target on
-    # |z| <= RADIUS (Cauchy's estimate; Caratheodory's for a half-plane), as
-    # where psi divides by a p with a zero inside the disk
-    hyp_probe = image_in_region(hyp, lemma.region) if bounded else UNBOUNDED
-    concl_probe = image_in_region(p, DELTA)
+        # a Taylor coefficient past the float range bounds psi(p) in no target on
+        # |z| <= RADIUS (Cauchy's estimate; Caratheodory's for a half-plane), as
+        # where psi divides by a p with a zero inside the disk
+        hyp_probe = image_in_region(hyp, lemma.region) if bounded else UNBOUNDED
+        concl_probe = image_in_region(p, DELTA)
     hypothesis_holds = class_ok and hyp_probe.contained
     conclusion_holds = concl_probe.contained
     if not hypothesis_holds:

@@ -113,6 +113,14 @@ class TestCheckAdmissible:
             with pytest.raises(ConfigurationError, match="finite"):
                 check_lemma("first3", 1e300)
 
+    def test_overflowing_second_order_scan_raises_only_its_error(self):
+        # gamma b + beta c at 1e308 overflows to a NaN distance; a RuntimeWarning
+        # fails the test, so numpy must not report it before the scan does
+        lemma = get_lemma("second-weighted")
+        with pytest.raises(ConfigurationError, match="nan, not finite"):
+            check_admissible(SecondOrderWeighted(gamma=1e308, beta=1e308), lemma.region,
+                             n_class=lemma.n_class)
+
     def test_nan_polish_falls_back_to_the_grid_point(self, monkeypatch):
         lemma = get_lemma("first3")
         grid_min = scan_profile(lemma.make_form(1.25), lemma.region, FAST).minimum

@@ -231,6 +231,9 @@ def _unit(lemma):
 
 
 class TestCenterBandReject:
+    """The certificate read from the table at beta = 1 is that of a scan at beta;
+    the steps it rejects below a catalogued bound fail at the center rows."""
+
     @pytest.mark.parametrize("lemma_id", THRESHOLDED)
     def test_agrees_with_full_scan(self, lemma_id):
         lemma = get_lemma(lemma_id)
@@ -249,8 +252,8 @@ class TestCenterBandReject:
         ("second-sum", None),  # second-order form, exact t-projection
     ])
     def test_band_rows_are_full_grid_rows(self, lemma_id, beta):
-        # each row of a scan is the row function on its theta alone, so the band
-        # a certificate reads first is what scanning those three rows would give
+        # each row of a scan is the row function on its theta alone, so the center
+        # rows a certificate reads are what scanning those three rows would give
         lemma = get_lemma(lemma_id)
         form = lemma.make_form(beta)
         full = scan_profile(form, lemma.region, GridSpec(), lemma.n_class)
@@ -340,14 +343,14 @@ class TestMarginsOnlyRead:
         edit(margins)
         return dataclasses.replace(unit, rays=unit.rays._replace(margins=margins))
 
-    def test_nan_off_the_band_raises_only_when_the_band_passes(self):
+    def test_nan_off_the_center_raises_only_where_no_row_rejects(self):
         def nan_in_last_row_limit(margins):  # the limit column always counts
             margins[-1, -1] = np.nan
 
         unit = self._unit_with("one1", nan_in_last_row_limit)
         with pytest.raises(ConfigurationError, match="nan, not finite"):
             certified_at("one1", 2.0, unit=unit)
-        assert certified_at("one1", 1.0, unit=unit) is False  # the band rejects first
+        assert certified_at("one1", 1.0, unit=unit) is False  # the center row rejects
 
     def test_nan_beside_a_rejecting_row_rejects(self):
         def nan_next_to_the_center(margins):  # the table's row 0 is the center
@@ -359,6 +362,13 @@ class TestMarginsOnlyRead:
         # above it no finite row rejects, so the NaN refuses the step
         with pytest.raises(ConfigurationError, match="nan, not finite"):
             certified_at("one1", 2.0, unit=unit)
+
+    def test_overflowing_step_raises_only_its_error(self):
+        # at beta = 1e300 every start margin overflows; a RuntimeWarning fails the
+        # test, so the read reports the overflow and numpy does not
+        unit = _unit(get_lemma("first3"))
+        with pytest.raises(ConfigurationError, match="not finite"):
+            certified_at("first3", 1e300, unit=unit)
 
     def test_all_inf_table_raises(self):
         def all_inf(margins):
@@ -372,7 +382,7 @@ class TestMarginsOnlyRead:
 
 
 def test_table_and_grid_must_agree():
-    # the band's center is the table's; a 2001-row table on a 1001-point grid
+    # the table's first row is the center; a 2001-row table on a 1001-point grid
     # once read row 500 as the center and rejected certified coefficients
     unit = _unit(get_lemma("first3"))
     coarse = GridSpec(theta_points=1001)
@@ -385,7 +395,7 @@ def test_table_and_grid_must_agree():
 
 def test_a_full_arc_table_is_refused():
     # the certificate reads the rows theta >= 0 with the center first; a table of
-    # every row would be read at the grid's first two rows as its band
+    # every row would read the grid's first row, theta near -pi/4, as the center
     lemma = get_lemma("first3")
     full = dataclasses.replace(_unit(lemma), rays=_full_arc_rays(lemma))
     for beta in (1.0, 1.25, 2.0):

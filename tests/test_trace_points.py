@@ -53,19 +53,32 @@ def test_check_admissible_scans_through_scan_profile(monkeypatch):
 def test_certified_at_scans_through_scan_profile(monkeypatch):
     rows = _count_scans(monkeypatch, thresholds)
     unit = get_lemma("one1").make_form(1.0)
-    # a call on its own scans the full grid at beta = 1 once, whichever read decides
-    assert certified_at("one1", 2.0)  # the band passes, so every row decides
+    # a call on its own scans the full grid at beta = 1 once, certified or not
+    assert certified_at("one1", 2.0)
     assert rows == [(unit, GridSpec().theta_points)]
     rows.clear()
-    assert not certified_at("one1", 1.0)  # the band rejects
+    assert not certified_at("one1", 1.0)  # the center row rejects
     assert rows == [(unit, GridSpec().theta_points)]
 
 
-@pytest.mark.parametrize("beta,points", [
-    (1.0, 2),  # the band rejects
-    (2.0, 2 + GridSpec().theta_points // 2 + 1),  # the band passes and every row decides
-])
-def test_a_step_evaluates_only_its_start_margins(beta, points):
+def test_a_step_reads_every_row_of_the_table_once(monkeypatch):
+    lemma = get_lemma("one1")
+    unit = scan_profile(lemma.make_form(1.0), lemma.region, GridSpec(), lemma.n_class)
+    reads, real = [], thresholds.scaled_minimum
+
+    def counting(rays, *args):
+        reads.append(rays)
+        return real(rays, *args)
+
+    monkeypatch.setattr(thresholds, "scaled_minimum", counting)
+    for beta in (1.0, 2.0):  # one rejected, one certified
+        reads.clear()
+        assert certified_at("one1", beta, unit=unit) == (beta == 2.0)
+        assert len(reads) == 1 and reads[0] is unit.rays
+
+
+@pytest.mark.parametrize("beta", [1.0, 2.0])  # rejected, certified
+def test_a_step_evaluates_only_its_start_margins(beta):
     lemma = get_lemma("one1")
     unit = scan_profile(lemma.make_form(1.0), lemma.region, GridSpec(), lemma.n_class)
     tracer = _spans_module().Tracer()
@@ -79,7 +92,8 @@ def test_a_step_evaluates_only_its_start_margins(beta, points):
     # no jet: each row read costs one margin, at m = n, and the rest is the table's
     assert calls["boundary.jet_arrays.grid"] + calls["boundary.jet_arrays.point"] == 0
     assert calls["admissibility.scan_profile"] == 0
-    assert tracer.counts["geometry.margin.points"] == points
+    # one start margin per row theta >= 0
+    assert tracer.counts["geometry.margin.points"] == GridSpec().theta_points // 2 + 1
 
 
 def test_jet_counter_counts_the_points_each_scan_evaluates():

@@ -198,6 +198,16 @@ class TestVerifyImplication:
         else:
             assert np.isfinite(rep.hypothesis_probe.max_margin)
 
+    def test_overflowing_values_are_unbounded_without_warning(self):
+        # p's values overflow on the probe circle: the FFT gives inf and NaN, the
+        # worst margin reads inf, and a RuntimeWarning fails the test
+        p = TruncatedSeries(np.array([1.0, 1.5e308, 1.5e308], dtype=complex))
+        rep = verify_implication("ex1", p)
+        assert rep.status == "vacuous"
+        assert rep.hypothesis_probe is UNBOUNDED
+        assert rep.conclusion_probe.max_margin == np.inf
+        assert not rep.conclusion_holds
+
     def test_adaptive_order_reports(self):
         p = random_normalized_p(12, seed=3)
         rep = verify_implication("first3", p, beta=1.25)
