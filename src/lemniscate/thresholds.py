@@ -47,14 +47,19 @@ margins that agree to rounding: on 400 evenly spaced beta it flips 83 times
 in [2.8284161090, 2.8284161098] for sq2 and 117 times in
 [3.5809476560, 3.5809476590] for first4.
 
-Before the samples, the search predicts where the certificate flips, from a
-Brent root of two continuous slacks of the first 8 rows of the table
-(:func:`_predicted_transition`), and reads the certificate just below and
-just above the prediction.  Those two reads decide most of the later steps,
-so a bound at the default interval and tol takes 4 reads instead of 19.  They
-sit at least 1e-8 beta from the prediction, outside the stretch where the
-certificate is not monotone, so the rule decides each step as a read would,
-and every bracket is that of the plain bisection, which reads every step.
+Before the samples, the search reads two seeds, the lemma's catalogued bound
+(``threshold_ref``, the paper's value) minus and plus w = max(tol / 64,
+2**-17 beta).  Those two reads decide most of the later steps, so a bound at
+the default interval and tol takes at most 5 reads instead of 19 (4.5 on
+average over the bench's bounds pools), and one on (0.05, 1e150) at most 5
+instead of about 29.  The float transition lies within 3.9e-6 beta of the
+catalogued value (sq2: 1.1e-5 below it; first3: 2.4e-6 above; first4: 2.3e-6
+below; the other four within 1e-8 beta), and 2**-17 beta is 7.6e-6 beta, so
+the seeds sit on either side of it, outside the stretch where the
+certificate is not monotone.  The rule then decides each step as a read
+would, and every bracket is that of the plain bisection, which reads every
+step.  A seed decides nothing: one outside the interval is not read, and one
+far from the transition costs a read but moves no bracket.
 
 The verdict is boolean and the objective is not smooth where the minimizing
 theta switches branches, so bisection is used rather than gradient steps.
@@ -63,14 +68,13 @@ theta switches branches, so bisection is used rather than gradient steps.
 from __future__ import annotations
 
 import bisect
-import functools
 import math
 from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
 
-from .admissibility import (ConfigurationError, GridSpec, Profile, Rays, deciding_row,
+from .admissibility import (ConfigurationError, GridSpec, Profile, deciding_row,
                             scaled_minimum, scan_profile)
 from .catalog import get_lemma
 
@@ -141,89 +145,6 @@ def certified_at(lemma_id: str, beta: float, grid: GridSpec = GridSpec(),
     return bool(least[deciding_row(least, floor)] >= floor)
 
 
-def _brent_root(f, a: float, b: float, xtol: float, rtol: float) -> Optional[float]:
-    """A root of f in [a, b], where f(a) < 0 <= f(b), by Brent's method (Brent,
-    *Algorithms for Minimization without Derivatives*, 1973), to within about
-    ``xtol + rtol * |root|``.  None where the ends do not hold those signs, a value
-    of f is not finite, or 50 steps do not converge."""
-    xpre, xcur, fpre, fcur = a, b, f(a), f(b)
-    if not -math.inf < fpre < 0.0 <= fcur < math.inf:
-        return None
-    xblk = fblk = spre = scur = 0.0
-    for _ in range(50):
-        if fcur == 0.0:
-            return xcur
-        if not math.isfinite(fcur):
-            return None
-        if (fpre > 0.0) != (fcur > 0.0):  # [xcur, xblk] keeps the sign change
-            xblk, fblk = xpre, fpre
-            spre = scur = xcur - xpre
-        if abs(fblk) < abs(fcur):
-            xpre, xcur, xblk = xcur, xblk, xcur
-            fpre, fcur, fblk = fcur, fblk, fcur
-        delta = 0.5 * (xtol + rtol * abs(xcur))
-        sbis = 0.5 * (xblk - xcur)
-        if abs(sbis) < delta:
-            return xcur
-        interpolate = abs(spre) > delta and abs(fcur) < abs(fpre)
-        if interpolate:
-            if xpre == xblk:  # secant
-                num, den = -fcur * (xcur - xpre), fcur - fpre
-            else:  # inverse quadratic
-                dpre = (fpre - fcur) / (xpre - xcur)
-                dblk = (fblk - fcur) / (xblk - xcur)
-                num, den = -fcur * (fblk * dblk - fpre * dpre), dblk * dpre * (fblk - fpre)
-            stry = num / den if den else math.inf
-            interpolate = 2.0 * abs(stry) < min(abs(spre), 3.0 * abs(sbis) - delta)
-        spre, scur = (scur, stry) if interpolate else (sbis, sbis)
-        xpre, fpre = xcur, fcur
-        xcur += scur if abs(scur) > delta else math.copysign(delta, sbis)
-        fcur = f(xcur)
-    return None
-
-
-def _predicted_transition(lemma, unit: Profile, grid: GridSpec, lo: float, hi: float,
-                          tol: float) -> Optional[float]:
-    """Where the certificate is predicted to flip in (lo, hi), or None.
-
-    Two continuous slacks are read from the first 8 rows of the unit table
-    (theta >= 0, center first) with :func:`scaled_minimum`: the center
-    admissibility slack P(0) + eps_adm and, above its root, the center-condition
-    slack min(rows 1-7) - P(0) + _CENTER_TOL.  The prediction is the Brent root
-    of the first where it is negative at lo, and then that of the second where
-    it is negative at that root, each to within a sixteenth of the seeds'
-    offset.  Run to a fine tolerance, it lands within 2e-10 beta of the bracket
-    the plain bisection finds at tol = 1e-13 (first4 is the farthest, at
-    1.9e-10).  None where neither slack changes sign or a root is not found.
-    The prediction decides nothing, and under ``np.errstate`` it warns of
-    nothing.
-    """
-    rows = Rays(*(column[:8] for column in unit.rays))
-
-    @functools.cache
-    def least(beta):
-        return scaled_minimum(rows, lemma.make_form(beta), lemma.region, beta, lemma.n_class)
-
-    def admissible(beta):
-        return float(least(beta)[0]) + grid.eps_adm
-
-    def centered(beta):
-        row = least(beta)
-        return float(row[1:].min() - row[0]) + _CENTER_TOL
-
-    # within tol / 1024 + 6e-10 beta of the 8-row root
-    xtol, rtol = tol / 512.0, 1.25e-9
-    with np.errstate(all="ignore"):
-        start = lo
-        if not admissible(lo) >= 0.0:
-            start = _brent_root(admissible, lo, hi, xtol, rtol)
-            if start is None:
-                return None
-        if centered(start) >= 0.0:
-            return start if start > lo else None
-        return _brent_root(centered, start, hi, xtol, rtol)
-
-
 def find_beta_threshold(lemma_id: str, search=None, tol: float = DEFAULT_TOL,
                         grid: GridSpec = GridSpec()) -> ThresholdResult:
     """Bracket the lemma's coefficient bound to within ``tol`` by bisection.
@@ -231,19 +152,18 @@ def find_beta_threshold(lemma_id: str, search=None, tol: float = DEFAULT_TOL,
     The search reads both ends of the interval first and raises BracketError
     unless lo is uncertified and hi certified; a step that cannot be read at
     either end (a ConfigurationError) is raised before that.  It then reads
-    two seeds, the predicted transition beta' minus and plus
-    w = max(tol / 64, 1e-8 beta'), finds the first certified of the 6 points
+    two seeds, the lemma's catalogued bound beta' minus and plus
+    w = max(tol / 64, 2**-17 beta'), finds the first certified of the 6 points
     that split (lo, hi) into 7 equal parts by binary search, and bisects from
     it and the sample below it.  Each of these steps is read only if it lies
     between the largest beta read uncertified and the least read certified;
-    outside them it takes the answer of the nearer one.  The floor of w keeps
-    the seeds clear of the stretch, about 1e-9 beta wide, where the float
-    certificate flips back and forth, so the bracket and ``iterations``, the
+    outside them it takes the answer of the nearer one.  The float transition
+    lies within 3.9e-6 beta of beta' (sq2 is the farthest), so the seeds
+    straddle it and stay clear of the stretch, about 1e-9 beta wide, where the
+    float certificate flips back and forth; the bracket and ``iterations``, the
     count of bisection steps whether read or not, are those of the plain
-    bisection.  Where no transition is predicted (a slack that is not finite,
-    that does not change sign, or a Brent root that does not converge, as for
-    six of the seven bounds on (0.05, 1e150)) there are no seeds, and the
-    search reads what the plain bisection reads.
+    bisection.  A default bound takes at most 5 reads, as does one on
+    (0.05, 1e150).
     A ``tol`` that is not finite and positive, a ``search`` interval (lo, hi)
     that is not finite with 0 < lo < hi, or a lemma whose coefficient does not
     enter as beta b, is a ConfigurationError, raised before any scan; a lemma
@@ -288,11 +208,10 @@ def find_beta_threshold(lemma_id: str, search=None, tol: float = DEFAULT_TOL,
         below = beta
         return False
 
-    guess = _predicted_transition(lemma, unit, grid, lo_end, hi_end, tol)
-    if guess is not None:
-        width = max(tol / 64.0, 1e-8 * guess)
-        certified(guess - width)
-        certified(guess + width)
+    # the seeds straddle the catalogued bound; one outside (below, above) is not read
+    width = max(tol / 64.0, 2.0 ** -17 * lemma.threshold_ref)
+    certified(lemma.threshold_ref - width)
+    certified(lemma.threshold_ref + width)
     # the first certified sample between the ends
     k = bisect.bisect_left(samples, True, 1, 7, key=certified)
     blo, bhi = float(samples[k - 1]), float(samples[k])

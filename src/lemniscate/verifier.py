@@ -89,8 +89,9 @@ def image_in_region(p: TruncatedSeries, region: Region) -> ImageProbe:
         raise NormalizationError(
             f"p(0) = {at_zero:g} does not match the region anchor {region.anchor:g}")
 
-    w = p.values_on_circle(RADIUS, ANGULAR_POINTS)
-    margins = np.asarray(region.margin(w))
+    with np.errstate(over="ignore", invalid="ignore"):  # an overflow reads as inf below
+        w = p.values_on_circle(RADIUS, ANGULAR_POINTS)
+        margins = np.asarray(region.margin(w))
     idx = int(np.argmax(margins))  # the first NaN, if there is one
     z = RADIUS * np.exp(2j * np.pi * idx / ANGULAR_POINTS)
     worst = float(margins[idx])
@@ -141,11 +142,11 @@ def verify_implication(lemma_id: str, p: TruncatedSeries, beta=None,
             if not bounded or tail <= TAIL_TOL or work >= MAX_ORDER:
                 break
             work = min(2 * work, MAX_ORDER)
-        # a Taylor coefficient past the float range bounds psi(p) in no target on
-        # |z| <= RADIUS (Cauchy's estimate; Caratheodory's for a half-plane), as
-        # where psi divides by a p with a zero inside the disk
-        hyp_probe = image_in_region(hyp, lemma.region) if bounded else UNBOUNDED
-        concl_probe = image_in_region(p, DELTA)
+    # a Taylor coefficient past the float range bounds psi(p) in no target on
+    # |z| <= RADIUS (Cauchy's estimate; Caratheodory's for a half-plane), as
+    # where psi divides by a p with a zero inside the disk
+    hyp_probe = image_in_region(hyp, lemma.region) if bounded else UNBOUNDED
+    concl_probe = image_in_region(p, DELTA)
     hypothesis_holds = class_ok and hyp_probe.contained
     conclusion_holds = concl_probe.contained
     if not hypothesis_holds:

@@ -170,6 +170,9 @@ class TestWideInterval:
         result = find_beta_threshold("one0", search=(0.05, 1e150))
         assert result.beta_low < 1.2345 <= result.beta_high
         assert result.beta_high - result.beta_low <= result.tolerance
+        # the plain search reads both ends, 3 samples of the binary search and every step
+        step_certificate.clear()
+        assert _plain_threshold("one0", search=(0.05, 1e150)) == result
         assert result.iterations == len(step_certificate) - 5
         assert result.iterations <= 30
 
@@ -201,6 +204,18 @@ def _full_scan_certified(lemma_id, beta, grid=GridSpec(), unit=None):
 THRESHOLDED = sorted(k for k, lem in LEMMAS.items() if lem.threshold_ref is not None)
 # every lemma certified_at accepts, the thresholded ones among them
 SCALES_B = sorted(k for k, lem in LEMMAS.items() if lem.params in thresholds._SCALES_B)
+
+
+def test_every_bound_searched_is_catalogued():
+    # the search seeds from threshold_ref: every lemma it accepts, one whose beta
+    # scales b and that is not unconditional, has one, inside the default interval
+    accepted = sorted(k for k in SCALES_B if not LEMMAS[k].unconditional)
+    assert accepted == THRESHOLDED and len(THRESHOLDED) == 7
+    for lemma_id in THRESHOLDED:
+        assert DEFAULT_SEARCH[0] < LEMMAS[lemma_id].threshold_ref < DEFAULT_SEARCH[1]
+    for lemma_id in sorted(set(LEMMAS) - set(THRESHOLDED)):
+        with pytest.raises((ConfigurationError, BracketError)):
+            find_beta_threshold(lemma_id)
 
 
 @pytest.mark.parametrize("lemma_id", SCALES_B)
@@ -458,7 +473,7 @@ class TestSampleSearch:
     @pytest.mark.parametrize("bound", [0.06, 0.9, 1.2345, 2.6, 3.5, 4.3, 5.2, 5.99])
     def test_ends_first_then_a_binary_search_of_the_samples(self, monkeypatch, bound):
         # a step at `bound` stands in for the certificate, so the seeds, placed at
-        # one0's own predicted transition, are off the step's transition
+        # one0's catalogued bound, are off the step's transition
         calls = []
 
         def step(lemma_id, beta, grid=None, unit=None):
@@ -468,11 +483,9 @@ class TestSampleSearch:
         monkeypatch.setattr(thresholds, "certified_at", step)
         result = find_beta_threshold("one0")
         samples = list(np.linspace(*DEFAULT_SEARCH, 8))
-        lemma = get_lemma("one0")
-        guess = thresholds._predicted_transition(lemma, _unit(lemma), GridSpec(),
-                                                 *DEFAULT_SEARCH, DEFAULT_TOL)
-        width = max(DEFAULT_TOL / 64, 1e-8 * guess)
-        seeds = [guess - width, guess + width][:1 if guess - width >= bound else 2]
+        ref = get_lemma("one0").threshold_ref
+        width = max(DEFAULT_TOL / 64, 2.0 ** -17 * ref)
+        seeds = [ref - width, ref + width][:1 if ref - width >= bound else 2]
         assert calls[:2] == [samples[0], samples[-1]]
         assert calls[2:2 + len(seeds)] == seeds
         searched = [b for b in calls[2 + len(seeds):] if b in samples]
@@ -529,23 +542,38 @@ def _counting_certificate(monkeypatch):
     return reads
 
 
+def _catalogue_bound(monkeypatch, lemma_id, ref):
+    """Let the search see ``ref`` as the lemma's catalogued bound."""
+    lemma = dataclasses.replace(get_lemma(lemma_id), threshold_ref=ref)
+    monkeypatch.setattr(thresholds, "get_lemma", lambda _: lemma)
+
+
 class TestSeededSearch:
     @pytest.mark.parametrize("lemma_id,search,tol", _bracket_cases() + [
         (lemma_id, None, tol) for tol in (1e-10, 1e-12) for lemma_id in THRESHOLDED])
     def test_matches_the_plain_bisection(self, lemma_id, search, tol):
         # the 7 bounds at four tolerances and on (0.05, 1e150), and the bench's pools;
-        # at 1e-10, seeds tol / 64 from the prediction give first4 another bracket
+        # from 1e-8 on the bisection reads steps between the seeds
         assert (find_beta_threshold(lemma_id, search=search, tol=tol)
                 == _plain_threshold(lemma_id, search=search, tol=tol))
+
+    @pytest.mark.parametrize("lemma_id", THRESHOLDED)
+    @pytest.mark.parametrize("grid", [GridSpec(theta_points=1001), GridSpec(eps_adm=1e-6)],
+                             ids=["theta_points=1001", "eps_adm=1e-6"])
+    def test_matches_the_plain_bisection_on_other_grids(self, lemma_id, grid):
+        # a coarser grid and a looser admissibility floor move the transitions, by up
+        # to 4e-6 beta (moebius at eps_adm = 1e-6), still inside the seeds
+        assert (find_beta_threshold(lemma_id, grid=grid)
+                == _plain_threshold(lemma_id, grid=grid))
 
     @pytest.mark.parametrize("lemma_id", THRESHOLDED)
     @pytest.mark.parametrize("offset", [-1.0, -1e-3, 1e-3, 1.0, 50.0])
     @pytest.mark.parametrize("tol", [DEFAULT_TOL, 1e-8])
     def test_a_far_off_prediction_keeps_the_bracket(self, monkeypatch, lemma_id, offset,
                                                      tol):
+        # the catalogued bound the seeds straddle is off by `offset`
         reference = _plain_threshold(lemma_id, tol=tol)
-        guess = get_lemma(lemma_id).threshold_ref + offset
-        monkeypatch.setattr(thresholds, "_predicted_transition", lambda *args: guess)
+        _catalogue_bound(monkeypatch, lemma_id, get_lemma(lemma_id).threshold_ref + offset)
         assert find_beta_threshold(lemma_id, tol=tol) == reference
 
     @pytest.mark.parametrize("lemma_id", THRESHOLDED)
@@ -556,37 +584,18 @@ class TestSeededSearch:
         assert reads[:2] == list(DEFAULT_SEARCH)
 
     def test_no_prediction_reads_what_the_plain_bisection_reads(self, monkeypatch):
-        # one0's Brent root on (0.05, 1e150) does not converge in 50 steps
-        lemma = get_lemma("one0")
-        assert thresholds._predicted_transition(lemma, _unit(lemma), GridSpec(),
-                                                0.05, 1e150, DEFAULT_TOL) is None
+        # a catalogued bound outside (lo, hi) costs no read: both seeds lie at or
+        # past an end already read
         reads = _counting_certificate(monkeypatch)
-        result = find_beta_threshold("one0", search=(0.05, 1e150))
-        seeded = list(reads)
-        reads.clear()
-        assert _plain_threshold("one0", search=(0.05, 1e150)) == result
-        assert seeded == reads
-
-
-class TestBrentRoot:
-    def test_finds_the_root_of_a_sign_change(self):
-        root = thresholds._brent_root(lambda x: x ** 3 - 2.0, 0.0, 2.0, 1e-14, 0.0)
-        assert abs(root - 2.0 ** (1.0 / 3.0)) <= 1e-14
-
-    def test_an_end_root_is_returned(self):
-        assert thresholds._brent_root(lambda x: x - 2.0, 0.0, 2.0, 1e-12, 0.0) == 2.0
-
-    @pytest.mark.parametrize("f", [lambda x: x + 1.0,  # no sign change
-                                   lambda x: 1.0 - x,  # falls instead of rising
-                                   lambda x: x - 1.0 if x < 1.5 else math.nan,
-                                   lambda x: math.inf if x == 0.0 else x - 1.0])
-    def test_no_root_where_the_signs_or_the_values_do_not_allow_one(self, f):
-        assert thresholds._brent_root(f, 0.0, 2.0, 1e-12, 0.0) is None
-
-    def test_no_root_where_it_does_not_converge(self):
-        # a linear bisection of 300 orders of magnitude takes ~1000 steps
-        assert thresholds._brent_root(lambda x: 1.0 if x > 1.0 else -1.0,
-                                      0.0, 1e300, 1e-12, 0.0) is None
+        for ref in (0.01, 1e300):
+            _catalogue_bound(monkeypatch, "one0", ref)
+            for search in (None, (0.05, 1e150)):
+                reads.clear()
+                result = find_beta_threshold("one0", search=search)
+                seeded = list(reads)
+                reads.clear()
+                assert _plain_threshold("one0", search=search) == result
+                assert seeded == reads
 
 
 @pytest.mark.parametrize("lemma_id", ["moebius", "one0", "one1", "one2"])

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -57,6 +59,15 @@ class TestImageInRegion:
         # nan gave a definite max_margin = nan, inf raised numpy warnings in the FFT
         with pytest.raises(NormalizationError, match="finite"):
             image_in_region(TruncatedSeries(np.array([1.0, bad, 0.1], dtype=complex)), DELTA)
+
+    def test_overflowing_values_read_inf_without_warning(self):
+        # the FFT of p on the probe circle overflows to inf and NaN
+        p = TruncatedSeries(np.array([1.0, 1.5e308, 1.5e308], dtype=complex))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            probe = image_in_region(p, DELTA)
+        assert probe.max_margin == np.inf
+        assert not probe.contained
 
 
 def _three_level_reference(series, region, k=4096):
